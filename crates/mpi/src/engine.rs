@@ -738,6 +738,8 @@ impl MpiEngine {
                     cap,
                     hw: Some((me, md)),
                 });
+                #[cfg(test)]
+                tests::before_activation();
                 loop {
                     match self
                         .ni
@@ -746,13 +748,16 @@ impl MpiEngine {
                         Ok(()) => break,
                         Err(PtlError::NoUpdate) => {
                             // Pending events might include the very message
-                            // this receive wants: drain and re-check.
+                            // this receive wants: drain and re-check. A match
+                            // during the drain — an eager arrival completed
+                            // from a slab, or an announcement whose pull has
+                            // started — takes the receive off the posted list
+                            // and unlinks its entry (and with it the MD).
                             self.drain(&mut st);
-                            if st.recv_done.contains_key(&id) {
-                                break; // completed from a slab during drain
+                            if !st.recvs.iter().any(|r| r.id == id) {
+                                break;
                             }
                         }
-                        Err(PtlError::InvalidMd) if st.recv_done.contains_key(&id) => break,
                         Err(e) => return Err(e),
                     }
                 }
@@ -1375,5 +1380,89 @@ impl MpiEngine {
 impl std::fmt::Debug for MpiEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "MpiEngine({}, {:?})", self.ni.id(), self.config.protocol)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Mpi, MpiConfig};
+    use portals::{NiConfig, Node, NodeConfig, Region};
+    use portals_net::Fabric;
+    use portals_types::{NodeId, ProcessId, ProgressMode, Rank};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Run once in the next `irecv` on this thread, between posting the
+        /// hardware receive (inactive) and activating it: the window in which
+        /// a concurrent arrival races the activation.
+        static BEFORE_ACTIVATION: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn before_activation() {
+        if let Some(hook) = BEFORE_ACTIVATION.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
+    }
+
+    /// A rendezvous announcement that lands in the event queue between
+    /// posting a receive and activating it matches that receive during the
+    /// activation loop's drain, which unlinks the receive's entry and starts
+    /// the pull. The loop must see the receive is no longer posted and stop,
+    /// not retry the activation against the unlinked descriptor.
+    #[test]
+    fn announcement_racing_receive_activation_starts_the_pull() {
+        const LEN: usize = 256 * 1024; // at the adaptive band's top: rendezvous
+        const TAG: u32 = 5;
+        let fabric = Fabric::ideal();
+        let config = NodeConfig {
+            transport: portals::TransportConfig {
+                progress_mode: ProgressMode::CallerDriven,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let nodes: Vec<std::sync::Arc<Node>> = (0..2)
+            .map(|i| std::sync::Arc::new(Node::new(fabric.attach(NodeId(i)), config.clone())))
+            .collect();
+        let ranks: Vec<ProcessId> = (0..2).map(|i| ProcessId::new(i, 1)).collect();
+        let mpis: Vec<Mpi> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                let ni = node.create_ni(1, NiConfig::default()).unwrap();
+                Mpi::init(ni, ranks.clone(), Rank(i as u32), MpiConfig::adaptive()).unwrap()
+            })
+            .collect();
+        let (sender, receiver) = (mpis[0].world(), mpis[1].world());
+        let payload: Vec<u8> = (0..LEN).map(|i| (i * 7 + 3) as u8).collect();
+
+        // Inside the window: the sender announces, and one step of the
+        // receiver's node dispatches the announcement into its event queue.
+        let send_req = std::rc::Rc::new(RefCell::new(None));
+        {
+            let (sender, node, payload, send_req) = (
+                sender.clone(),
+                std::sync::Arc::clone(&nodes[1]),
+                payload.clone(),
+                std::rc::Rc::clone(&send_req),
+            );
+            BEFORE_ACTIVATION.with(|h| {
+                *h.borrow_mut() = Some(Box::new(move || {
+                    *send_req.borrow_mut() = Some(sender.isend(Rank(1), TAG, &payload));
+                    assert!(node.progress(), "the announcement must arrive now");
+                }))
+            });
+        }
+        let buf = Region::zeroed(LEN);
+        let recv_req = receiver.irecv(Some(Rank(0)), Some(TAG), buf.clone());
+        assert!(
+            BEFORE_ACTIVATION.with(|h| h.borrow().is_none()),
+            "the hook ran inside irecv"
+        );
+        let status = receiver.wait(recv_req).status().expect("receive status");
+        assert_eq!(status.len, LEN);
+        assert_eq!(buf.read_vec(0, LEN), payload);
+        let send_req = send_req.borrow_mut().take().expect("send posted");
+        sender.wait(send_req);
     }
 }

@@ -314,9 +314,17 @@ impl NetworkInterface {
     }
 
     /// Non-blocking event read (spec: `PtlEQGet`).
+    ///
+    /// An event already queued is returned without driving progress: a
+    /// consumer draining k events pays k pops and one progress step (the
+    /// one that finds the queue empty), not k + 1 steps.
     pub fn eq_get(&self, h: EqHandle) -> PtlResult<Event> {
-        self.progress();
         let eq = self.eq_ref(h)?;
+        match eq.try_get() {
+            Err(PtlError::EqEmpty) => {}
+            ready => return ready,
+        }
+        self.progress();
         eq.try_get()
     }
 
@@ -922,9 +930,10 @@ impl NetworkInterface {
     // ----- progress -----------------------------------------------------------
 
     /// The caller-driven blocking loop shared by `eq_wait_inner` and
-    /// `ct_wait_inner`: drive the node (and any peer nodes with pending
-    /// work), test the predicate, spin briefly while work flows, and park on
-    /// the node's readiness doorbell when idle.
+    /// `ct_wait_inner`: drive the node (and peer nodes with pending work, as
+    /// the hub's peer-service policy allows), test the predicate, spin
+    /// briefly while work flows, and park on the node's readiness doorbell
+    /// when idle.
     ///
     /// Lost-wakeup safety: the doorbell sequence is read *before* the final
     /// predicate test, and the park is conditional on it being unchanged — a
@@ -961,19 +970,15 @@ impl NetworkInterface {
                 return Ok(v);
             }
             if worked {
+                self.node.hub.after_own_step(true, false);
                 idle_iters = 0;
                 continue;
             }
-            // Own node is idle. Peer nodes usually have their own blocked
-            // caller spinning on this same fabric; stepping them from here on
-            // every iteration turns two waiters into sustained contention on
-            // each other's dispatch and core locks (measured 4x worse 0-byte
-            // RTT). Service them only at a decimated cadence and at the park
-            // boundary — enough to keep single-threaded simulations live,
-            // rare enough to stay out of an active peer's way.
+            // Own node is idle: the hub decides whether peers get a step
+            // (decimated cadence, always at the park boundary).
             idle_iters += 1;
             let parking = idle_iters > spin_iters;
-            if (parking || idle_iters % 32 == 0) && self.node.hub.service_peers() {
+            if self.node.hub.after_own_step(false, parking) {
                 idle_iters = 0;
                 continue;
             }

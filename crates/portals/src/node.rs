@@ -115,8 +115,9 @@ pub(crate) struct NodeShared {
     /// core). The engine raises [`Readiness::EVENT`] on it after completions
     /// so parked `eq_wait`/`ct_wait` callers wake.
     pub(crate) readiness: Arc<Readiness>,
-    /// Fabric driver registry handle: lets caller-driven wait loops advance
-    /// *other* nodes of a single-process simulation that have pending work.
+    /// Fabric driver registry handle: lets caller-driven progress advance
+    /// *other* nodes of a single-process simulation that have pending work,
+    /// under the hub's one peer-service policy.
     pub(crate) hub: DriverHub,
     /// Serializes inline dispatch so concurrent caller-driven API calls
     /// preserve the transport's in-order delivery contract. Try-locked:
@@ -147,18 +148,18 @@ impl NodeShared {
         worked
     }
 
-    /// Drive this node and any peers with pending work. In threadless mode a
-    /// polling loop — over counters, queue lengths, whatever — *is* the
-    /// progress engine, so every passive accessor funnels through here.
+    /// Drive this node once, and its peers when the hub's peer-service
+    /// policy says so (an idle step at the decimated cadence). In threadless
+    /// mode a polling loop — over counters, queue lengths, whatever — *is*
+    /// the progress engine, so every passive accessor funnels through here.
     /// Returns `true` if anything was done; `false` always in NIC-thread
     /// mode, where the dispatcher makes polling passive again.
     pub(crate) fn drive(&self) -> bool {
         if !self.caller_driven {
             return false;
         }
-        let mut worked = self.progress_once();
-        worked |= self.hub.service_peers();
-        worked
+        let worked = self.progress_once();
+        worked | self.hub.after_own_step(worked, false)
     }
 
     /// Raise the completion doorbell: an event was pushed, a counter bumped,

@@ -264,3 +264,86 @@ fn caller_driven_wait_never_loses_a_wakeup() {
     }
     producer.join().unwrap();
 }
+
+/// Poll `f` until it yields, failing after a bound generous enough for any
+/// peer-service cadence: a poll loop that stops making progress fails fast
+/// instead of hanging.
+fn poll_until<T>(what: &str, mut f: impl FnMut() -> Option<T>) -> T {
+    const MAX_POLLS: u32 = 100_000;
+    for _ in 0..MAX_POLLS {
+        if let Some(v) = f() {
+            return v;
+        }
+    }
+    panic!("{what}: no progress after {MAX_POLLS} non-blocking polls");
+}
+
+/// Liveness of the decimated peer-service cadence. One thread, two
+/// caller-driven nodes, no blocking call anywhere: an acked put and a get
+/// complete while the stack is driven only through the non-blocking
+/// accessors (`eq_get`, `ct_get`, `counters`) of the initiator. Nothing else
+/// ever steps the target node, so it advances only when those polls service
+/// their peers.
+#[test]
+fn nonblocking_accessors_alone_keep_a_single_thread_live() {
+    let (na, nb) = two_nodes(ProgressMode::CallerDriven);
+    let ini = na.create_ni(1, NiConfig::default()).unwrap();
+    let tgt = nb.create_ni(1, NiConfig::default()).unwrap();
+
+    let ct_t = tgt.ct_alloc().unwrap();
+    let landing = Region::zeroed(32);
+    let me = tgt
+        .me_attach(2, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+        .unwrap();
+    tgt.md_attach(me, MdSpec::new(landing.clone()).with_ct(ct_t))
+        .unwrap();
+
+    // Acked put, observed through the initiator's event queue.
+    let eq_i = ini.eq_alloc(16).unwrap();
+    let src = Region::from_vec((1..=32u8).collect());
+    let md_put = ini.md_bind(MdSpec::new(src).with_eq(eq_i)).unwrap();
+    ini.put_op(md_put)
+        .target(tgt.id(), 2)
+        .ack(AckRequest::Ack)
+        .submit()
+        .unwrap();
+    let kinds: Vec<EventKind> = (0..2)
+        .map(|_| poll_until("put events", || ini.eq_get(eq_i).ok()).kind)
+        .collect();
+    assert_eq!(kinds, vec![EventKind::Sent, EventKind::Ack]);
+    assert_eq!(landing.read_vec(0, 32), (1..=32u8).collect::<Vec<u8>>());
+
+    // Get, observed through a counting event on the reply descriptor.
+    let ct_i = ini.ct_alloc().unwrap();
+    let back = Region::zeroed(32);
+    let md_get = ini
+        .md_bind(MdSpec::new(back.clone()).with_ct(ct_i))
+        .unwrap();
+    ini.get_op(md_get)
+        .target(tgt.id(), 2)
+        .length(32)
+        .submit()
+        .unwrap();
+    poll_until("get reply", || {
+        (ini.ct_get(ct_i).unwrap().success == 1).then_some(())
+    });
+    assert_eq!(back.read_vec(0, 32), (1..=32u8).collect::<Vec<u8>>());
+
+    // A second acked put, observed only through the counter snapshot.
+    ini.put_op(md_put)
+        .target(tgt.id(), 2)
+        .ack(AckRequest::Ack)
+        .submit()
+        .unwrap();
+    let counters = poll_until("second ack", || {
+        let c = ini.counters();
+        (c.acks_accepted == 2).then_some(c)
+    });
+    assert_eq!(counters.replies_accepted, 1);
+    assert_eq!(counters.dropped_total(), 0);
+    assert_eq!(
+        tgt.ct_get(ct_t).unwrap().success,
+        3,
+        "two puts and a get hit"
+    );
+}

@@ -370,8 +370,9 @@ impl Endpoint {
         }
     }
 
-    /// The caller-driven wait loop: progress own core → service peers →
-    /// check → bounded spin → park on the readiness doorbell.
+    /// The caller-driven wait loop: progress own core → check → service
+    /// peers per the hub's policy → bounded spin → park on the readiness
+    /// doorbell.
     ///
     /// Lost-wakeup safety: the doorbell sequence is read *before* the
     /// progress step and predicate check, and the park returns immediately
@@ -390,17 +391,15 @@ impl Endpoint {
                 return Some(v);
             }
             if worked {
+                self.hub.after_own_step(true, false);
                 idle_iters = 0;
                 continue;
             }
-            // Peers normally have their own blocked caller driving them;
-            // stepping them every iteration makes two waiters contend on each
-            // other's core locks. A decimated cadence (plus once at the park
-            // boundary) keeps single-threaded simulations live without that
-            // interference.
+            // Own core is idle: the hub decides whether peers get a step
+            // (decimated cadence, always at the park boundary).
             idle_iters += 1;
             let parking = idle_iters > spin_iters;
-            if (parking || idle_iters % 32 == 0) && self.hub.service_peers() {
+            if self.hub.after_own_step(false, parking) {
                 idle_iters = 0;
                 continue;
             }

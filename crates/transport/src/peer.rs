@@ -52,8 +52,8 @@ pub struct SenderPeer {
     /// Consecutive timeouts without forward progress.
     retries: u32,
     /// True while the peer is past the stall threshold and has not yet made
-    /// progress. Cleared (and reported via [`AckOutcome::recovered`]) by the
-    /// first ack that advances the window.
+    /// progress. Cleared (and reported by [`SenderPeer::on_ack`]'s return
+    /// value) by the first ack that advances the window.
     stalled: bool,
     /// Advertised credit horizon: sequences strictly below this may be sent.
     /// Monotonically non-decreasing (acks carrying stale horizons are
@@ -86,16 +86,6 @@ pub struct TimeoutResult {
     pub probe: Option<Gather>,
 }
 
-/// What an ack produced.
-#[derive(Debug, PartialEq, Eq)]
-pub struct AckOutcome {
-    /// Packets newly admitted to the window by the ack's progress.
-    pub released: Vec<Gather>,
-    /// True when this ack is the first forward progress after the peer had
-    /// been reported stalled — the worker un-marks the peer in its stats.
-    pub recovered: bool,
-}
-
 impl SenderPeer {
     /// Fresh state for a new destination with an unlimited credit horizon
     /// (credit gating never engages — flow-control-off behaviour).
@@ -124,14 +114,18 @@ impl SenderPeer {
         }
     }
 
-    /// Fragment `msg` per the MTU, queue the fragments, and return any packets
-    /// that fit in the window right now.
+    /// Fragment `msg` per the MTU, queue the fragments, and append to `out`
+    /// any packets that fit in the window right now.
+    ///
+    /// Every producer of wire packets appends to a caller-owned vector, so
+    /// the worker reuses one scratch buffer instead of allocating per call.
     pub fn enqueue_message(
         &mut self,
         msg: Gather,
         cfg: &TransportConfig,
         now: Instant,
-    ) -> Vec<Gather> {
+        out: &mut Vec<Gather>,
+    ) {
         let msg_id = self.next_msg_id;
         self.next_msg_id += 1;
         let frag_count = frag_count_for(msg.len(), cfg.mtu);
@@ -146,13 +140,13 @@ impl SenderPeer {
                 body: msg.slice(start, end - start),
             });
         }
-        self.admit(cfg, now)
+        self.admit(cfg, now, out);
     }
 
     /// Move pending fragments into the window while both window space and
-    /// credits remain.
-    fn admit(&mut self, cfg: &TransportConfig, now: Instant) -> Vec<Gather> {
-        let mut out = Vec::new();
+    /// credits remain, appending their encodings to `out`.
+    fn admit(&mut self, cfg: &TransportConfig, now: Instant, out: &mut Vec<Gather>) {
+        let admitted_from = out.len();
         while self.in_flight.len() < cfg.window && self.next_seq < self.credit {
             let Some(frag) = self.pending.pop_front() else {
                 break;
@@ -176,7 +170,7 @@ impl SenderPeer {
             });
             out.push(encoded);
         }
-        if !out.is_empty() && self.deadline.is_none() {
+        if out.len() > admitted_from && self.deadline.is_none() {
             self.deadline = Some(now + cfg.rto_after(self.retries));
         }
         // Credit-block bookkeeping: pending work the window would take but
@@ -198,23 +192,23 @@ impl SenderPeer {
         if self.credit_blocked && self.in_flight.is_empty() && self.deadline.is_none() {
             self.deadline = Some(now + cfg.rto_after(self.probe_retries));
         }
-        out
     }
 
     /// Apply a credit horizon advertised by the peer (piggybacked on an ack
     /// or a probe response). Horizons are monotonic: stale values are
     /// ignored, so duplicated or reordered acks never shrink the window.
-    /// Returns packets the new credits released.
+    /// Appends the packets the new credits released to `out`.
     pub fn grant_credit(
         &mut self,
         credit: u64,
         cfg: &TransportConfig,
         now: Instant,
-    ) -> Vec<Gather> {
+        out: &mut Vec<Gather>,
+    ) {
         if credit > self.credit {
             self.credit = credit;
         }
-        self.admit(cfg, now)
+        self.admit(cfg, now, out);
     }
 
     /// Process a cumulative acknowledgment.
@@ -223,13 +217,21 @@ impl SenderPeer {
     /// resets the retry counter and clears a stall: go-back-N retransmits the
     /// whole window, so partial acks are the normal shape of recovery and
     /// must not leave the peer counted as stalled.
-    pub fn on_ack(&mut self, cumulative: u64, cfg: &TransportConfig, now: Instant) -> AckOutcome {
+    ///
+    /// Packets newly admitted to the window by the ack's progress are
+    /// appended to `out`. Returns `true` when this ack is the first forward
+    /// progress after the peer had been reported stalled — the worker
+    /// un-marks the peer in its stats.
+    pub fn on_ack(
+        &mut self,
+        cumulative: u64,
+        cfg: &TransportConfig,
+        now: Instant,
+        out: &mut Vec<Gather>,
+    ) -> bool {
         if cumulative == ACK_NONE {
             // "nothing received" keep-alive
-            return AckOutcome {
-                released: Vec::new(),
-                recovered: false,
-            };
+            return false;
         }
         let mut progressed = false;
         while let Some(front) = self.in_flight.front() {
@@ -251,10 +253,8 @@ impl SenderPeer {
                 Some(now + cfg.rto_after(0))
             };
         }
-        AckOutcome {
-            released: self.admit(cfg, now),
-            recovered,
-        }
+        self.admit(cfg, now, out);
+        recovered
     }
 
     /// The retransmission timer fired: resend the whole window (go-back-N) and
@@ -383,13 +383,10 @@ impl FragSlice {
     }
 }
 
-/// What [`ReceiverPeer::on_data`] produced.
+/// What [`ReceiverPeer::on_data`] produced. The in-order fragments it
+/// released went to the caller's output vector.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RxResult {
-    /// In-order fragments this packet released: the packet itself when it
-    /// arrived at the horizon, plus any buffered successors it unblocked.
-    /// Empty for duplicates and buffered/dropped out-of-order arrivals.
-    pub slices: Vec<FragSlice>,
     /// Cumulative ack to send back ([`ACK_NONE`] if nothing in-order yet).
     pub ack: u64,
     /// The packet was a duplicate (seq below the horizon, or already held in
@@ -477,11 +474,16 @@ impl ReceiverPeer {
     }
 
     /// Process a DATA packet. In-order packets (and any buffered successors
-    /// they unblock) come back as slices; out-of-order packets are buffered
-    /// within the byte budget and dropped beyond it; duplicates are
-    /// suppressed. Every arrival elicits a cumulative ack so the sender can
-    /// resynchronize.
-    pub fn on_data(&mut self, header: PacketHeader, body: Gather) -> RxResult {
+    /// they unblock) are appended to `out` as slices, in order; out-of-order
+    /// packets are buffered within the byte budget and dropped beyond it;
+    /// duplicates are suppressed. Every arrival elicits a cumulative ack so
+    /// the sender can resynchronize.
+    pub fn on_data(
+        &mut self,
+        header: PacketHeader,
+        body: Gather,
+        out: &mut Vec<FragSlice>,
+    ) -> RxResult {
         let PacketHeader::Data {
             seq,
             msg_id,
@@ -494,7 +496,6 @@ impl ReceiverPeer {
         };
         if seq < self.expected {
             return RxResult {
-                slices: Vec::new(),
                 ack: self.cumulative(),
                 duplicate: true,
                 out_of_order: false,
@@ -511,7 +512,6 @@ impl ReceiverPeer {
         if seq > self.expected {
             if self.stashed.contains_key(&seq) {
                 return RxResult {
-                    slices: Vec::new(),
                     ack: self.cumulative(),
                     duplicate: true,
                     out_of_order: true,
@@ -525,7 +525,6 @@ impl ReceiverPeer {
                 self.stashed.insert(seq, slice);
             }
             return RxResult {
-                slices: Vec::new(),
                 ack: self.cumulative(),
                 duplicate: false,
                 out_of_order: true,
@@ -535,14 +534,13 @@ impl ReceiverPeer {
         // At the horizon: release this packet, then splice every buffered
         // successor the hole-fill unblocked.
         self.expected += 1;
-        let mut slices = vec![slice];
+        out.push(slice);
         while let Some(next) = self.stashed.remove(&self.expected) {
             self.stashed_bytes -= next.body.len();
             self.expected += 1;
-            slices.push(next);
+            out.push(next);
         }
         RxResult {
-            slices,
             ack: self.cumulative(),
             duplicate: false,
             out_of_order: false,
@@ -564,6 +562,12 @@ impl Assembler {
     /// was its final fragment. Fragments' gathers are concatenated, not
     /// coalesced: the bytes stay in the datagrams the NIC delivered.
     pub fn push(&mut self, slice: FragSlice) -> Option<Gather> {
+        if slice.frag_count == 1 && slice.frag_index == 0 {
+            // Already whole: no parts list to build. Like any new message it
+            // abandons a stale partial.
+            self.cur = None;
+            return Some(slice.body);
+        }
         if slice.frag_index == 0 {
             // A new message begins; any stale partial is abandoned (cannot
             // happen with a correct sender, but defends against one that was
@@ -621,6 +625,54 @@ mod tests {
         Gather::copy_from_slice(b)
     }
 
+    fn enqueue(tx: &mut SenderPeer, msg: Gather, c: &TransportConfig, t: Instant) -> Vec<Gather> {
+        let mut out = Vec::new();
+        tx.enqueue_message(msg, c, t, &mut out);
+        out
+    }
+
+    fn grant(tx: &mut SenderPeer, credit: u64, c: &TransportConfig, t: Instant) -> Vec<Gather> {
+        let mut out = Vec::new();
+        tx.grant_credit(credit, c, t, &mut out);
+        out
+    }
+
+    /// What one ack produced: the released packets and the recovery flag.
+    struct Acked {
+        released: Vec<Gather>,
+        recovered: bool,
+    }
+
+    fn ack(tx: &mut SenderPeer, cumulative: u64, c: &TransportConfig, t: Instant) -> Acked {
+        let mut released = Vec::new();
+        let recovered = tx.on_ack(cumulative, c, t, &mut released);
+        Acked {
+            released,
+            recovered,
+        }
+    }
+
+    /// What one arrival produced: the released slices beside the result.
+    struct Rx {
+        slices: Vec<FragSlice>,
+        ack: u64,
+        duplicate: bool,
+        out_of_order: bool,
+        buffered: bool,
+    }
+
+    fn data(rx: &mut ReceiverPeer, h: PacketHeader, body: Gather) -> Rx {
+        let mut slices = Vec::new();
+        let r = rx.on_data(h, body, &mut slices);
+        Rx {
+            slices,
+            ack: r.ack,
+            duplicate: r.duplicate,
+            out_of_order: r.out_of_order,
+            buffered: r.buffered,
+        }
+    }
+
     fn decode(pkts: &[Gather]) -> Vec<Packet> {
         pkts.iter()
             .map(|b| Packet::decode_gather(b).unwrap())
@@ -630,7 +682,7 @@ mod tests {
     #[test]
     fn small_message_is_one_fragment() {
         let mut tx = SenderPeer::new();
-        let pkts = tx.enqueue_message(g(b"hi"), &cfg(), now());
+        let pkts = enqueue(&mut tx, g(b"hi"), &cfg(), now());
         let pkts = decode(&pkts);
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].header, dh(0, 0, 0, 0, 1));
@@ -640,7 +692,7 @@ mod tests {
     #[test]
     fn zero_length_message_still_sends_a_packet() {
         let mut tx = SenderPeer::new();
-        let pkts = tx.enqueue_message(Gather::new(), &cfg(), now());
+        let pkts = enqueue(&mut tx, Gather::new(), &cfg(), now());
         assert_eq!(pkts.len(), 1);
         let p = Packet::decode_gather(&pkts[0]).unwrap();
         assert_eq!(p.header, dh(0, 0, 0, 0, 1));
@@ -651,14 +703,14 @@ mod tests {
     fn fragmentation_respects_mtu_and_window() {
         let mut tx = SenderPeer::new();
         // 10 bytes at MTU 4 → 3 fragments; window 3 admits all immediately.
-        let pkts = tx.enqueue_message(g(b"0123456789"), &cfg(), now());
+        let pkts = enqueue(&mut tx, g(b"0123456789"), &cfg(), now());
         let pkts = decode(&pkts);
         assert_eq!(pkts.len(), 3);
         assert_eq!(pkts[0].body, &b"0123"[..]);
         assert_eq!(pkts[1].body, &b"4567"[..]);
         assert_eq!(pkts[2].body, &b"89"[..]);
         // A second message must wait for window space.
-        let more = tx.enqueue_message(g(b"xx"), &cfg(), now());
+        let more = enqueue(&mut tx, g(b"xx"), &cfg(), now());
         assert!(more.is_empty());
         assert_eq!(tx.outstanding(), 4);
     }
@@ -668,9 +720,9 @@ mod tests {
         let mut tx = SenderPeer::new();
         let t = now();
         let c = cfg();
-        tx.enqueue_message(g(b"0123456789"), &c, t); // seq 0..3 in flight
-        tx.enqueue_message(g(b"ab"), &c, t); // pending
-        let released = tx.on_ack(1, &c, t).released; // acks seq 0,1
+        enqueue(&mut tx, g(b"0123456789"), &c, t); // seq 0..3 in flight
+        enqueue(&mut tx, g(b"ab"), &c, t); // pending
+        let released = ack(&mut tx, 1, &c, t).released; // acks seq 0,1
         let released = decode(&released);
         assert_eq!(released.len(), 1);
         assert_eq!(released[0].header, dh(3, 1, 0, 0, 1));
@@ -681,9 +733,9 @@ mod tests {
     fn ack_none_is_a_noop() {
         let mut tx = SenderPeer::new();
         let t = now();
-        tx.enqueue_message(g(b"hi"), &cfg(), t);
+        enqueue(&mut tx, g(b"hi"), &cfg(), t);
         let before = tx.outstanding();
-        assert!(tx.on_ack(ACK_NONE, &cfg(), t).released.is_empty());
+        assert!(ack(&mut tx, ACK_NONE, &cfg(), t).released.is_empty());
         assert_eq!(tx.outstanding(), before);
     }
 
@@ -692,12 +744,12 @@ mod tests {
         let mut tx = SenderPeer::new();
         let t = now();
         let c = cfg();
-        tx.enqueue_message(g(b"0123456789"), &c, t);
-        tx.on_ack(2, &c, t); // everything acked
+        enqueue(&mut tx, g(b"0123456789"), &c, t);
+        ack(&mut tx, 2, &c, t); // everything acked
         assert_eq!(tx.outstanding(), 0);
         assert!(tx.deadline().is_none());
         // A late duplicate ack for seq 0 must not break anything.
-        assert!(tx.on_ack(0, &c, t).released.is_empty());
+        assert!(ack(&mut tx, 0, &c, t).released.is_empty());
         assert_eq!(tx.outstanding(), 0);
     }
 
@@ -706,7 +758,7 @@ mod tests {
         let mut tx = SenderPeer::new();
         let t = now();
         let c = cfg();
-        tx.enqueue_message(g(b"0123456789"), &c, t);
+        enqueue(&mut tx, g(b"0123456789"), &c, t);
         let r1 = tx.on_timeout(&c, t);
         assert_eq!(r1.resend.len(), 3);
         assert!(!r1.newly_stalled);
@@ -717,7 +769,7 @@ mod tests {
         let r3 = tx.on_timeout(&c, t);
         assert!(!r3.newly_stalled); // only reported once
                                     // Progress resets the stall counter.
-        tx.on_ack(0, &c, t);
+        ack(&mut tx, 0, &c, t);
         assert_eq!(tx.retries(), 0);
     }
 
@@ -730,7 +782,7 @@ mod tests {
         let mut tx = SenderPeer::new();
         let t = now();
         let c = cfg();
-        tx.enqueue_message(g(b"0123456789"), &c, t); // seq 0..3, window holds 3
+        enqueue(&mut tx, g(b"0123456789"), &c, t); // seq 0..3, window holds 3
 
         // Time out past the stall threshold.
         assert!(!tx.on_timeout(&c, t).newly_stalled);
@@ -739,20 +791,20 @@ mod tests {
         assert_eq!(tx.retries(), 2);
 
         // Partial progress: ack only seq 0, window still has seq 1,2 unacked.
-        let out = tx.on_ack(0, &c, t);
+        let out = ack(&mut tx, 0, &c, t);
         assert!(out.recovered, "first progress after a stall must recover");
         assert!(!tx.is_stalled());
         assert_eq!(tx.retries(), 0);
         assert!(tx.outstanding() > 0, "window must not be fully drained");
 
         // Further progress is not a second recovery.
-        assert!(!tx.on_ack(1, &c, t).recovered);
+        assert!(!ack(&mut tx, 1, &c, t).recovered);
 
         // A second stall cycle reports stall and recovery exactly once each.
         tx.on_timeout(&c, t);
         assert!(tx.on_timeout(&c, t).newly_stalled);
         assert!(!tx.on_timeout(&c, t).newly_stalled);
-        assert!(tx.on_ack(3, &c, t).recovered);
+        assert!(ack(&mut tx, 3, &c, t).recovered);
         assert!(!tx.is_stalled());
     }
 
@@ -761,11 +813,11 @@ mod tests {
         let mut tx = SenderPeer::new();
         let t = now();
         let c = cfg();
-        tx.enqueue_message(g(b"0123456789"), &c, t);
+        enqueue(&mut tx, g(b"0123456789"), &c, t);
         tx.on_timeout(&c, t);
         assert!(tx.on_timeout(&c, t).newly_stalled);
         // Keep-alive and stale acks carry no progress: still stalled.
-        assert!(!tx.on_ack(ACK_NONE, &c, t).recovered);
+        assert!(!ack(&mut tx, ACK_NONE, &c, t).recovered);
         assert!(tx.is_stalled());
         assert_eq!(tx.retries(), 2);
     }
@@ -783,7 +835,7 @@ mod tests {
         let mut tx = SenderPeer::new();
         let t = now();
         let c = cfg();
-        let sent = tx.enqueue_message(g(b"0123456789"), &c, t);
+        let sent = enqueue(&mut tx, g(b"0123456789"), &c, t);
         let r = tx.on_timeout(&c, t);
         assert_eq!(r.resend.len(), sent.len());
         for (orig, re) in sent.iter().zip(&r.resend) {
@@ -808,7 +860,7 @@ mod tests {
 
     /// Fold a result's slices through an assembler, returning any completed
     /// message.
-    fn fold(asm: &mut Assembler, r: RxResult) -> Option<Gather> {
+    fn fold(asm: &mut Assembler, r: Rx) -> Option<Gather> {
         let mut out = None;
         for s in r.slices {
             if let Some(m) = asm.push(s) {
@@ -821,7 +873,7 @@ mod tests {
     #[test]
     fn receiver_delivers_in_order_single_fragment() {
         let mut rx = ReceiverPeer::new();
-        let r = rx.on_data(dh(0, 0, 0, 0, 1), g(b"hello"));
+        let r = data(&mut rx, dh(0, 0, 0, 0, 1), g(b"hello"));
         assert_eq!(r.slices.len(), 1);
         assert_eq!(r.slices[0].offset, 0);
         assert!(r.slices[0].last());
@@ -834,12 +886,12 @@ mod tests {
     fn receiver_streams_fragments_with_offsets() {
         let mut rx = ReceiverPeer::new();
         let mut asm = Assembler::default();
-        let r0 = rx.on_data(dh(0, 0, 0, 0, 2), g(b"hel"));
+        let r0 = data(&mut rx, dh(0, 0, 0, 0, 2), g(b"hel"));
         assert_eq!(r0.slices.len(), 1);
         assert_eq!(r0.slices[0].offset, 0);
         assert!(!r0.slices[0].last());
         assert!(fold(&mut asm, r0).is_none());
-        let r1 = rx.on_data(dh(1, 0, 3, 1, 2), g(b"lo"));
+        let r1 = data(&mut rx, dh(1, 0, 3, 1, 2), g(b"lo"));
         assert_eq!(r1.slices.len(), 1);
         assert_eq!(r1.slices[0].offset, 3);
         assert!(r1.slices[0].last());
@@ -853,7 +905,7 @@ mod tests {
     #[test]
     fn receiver_buffers_out_of_order_within_budget() {
         let mut rx = ReceiverPeer::new();
-        let r = rx.on_data(dh(5, 0, 0, 0, 1), g(b"x"));
+        let r = data(&mut rx, dh(5, 0, 0, 0, 1), g(b"x"));
         assert!(r.slices.is_empty());
         assert!(r.out_of_order);
         assert!(r.buffered);
@@ -865,12 +917,12 @@ mod tests {
     fn receiver_splices_buffered_packet_when_hole_fills() {
         let mut rx = ReceiverPeer::new();
         // seq 1 (frag 1/2) arrives first: held, not delivered.
-        let r1 = rx.on_data(dh(1, 0, 3, 1, 2), g(b"lo"));
+        let r1 = data(&mut rx, dh(1, 0, 3, 1, 2), g(b"lo"));
         assert!(r1.buffered);
         assert_eq!(rx.buffered_bytes(), 2);
         assert_eq!(rx.buffered_hwm(), 2);
         // seq 0 fills the hole: both come out, in order, in one result.
-        let r0 = rx.on_data(dh(0, 0, 0, 0, 2), g(b"hel"));
+        let r0 = data(&mut rx, dh(0, 0, 0, 0, 2), g(b"hel"));
         assert_eq!(r0.slices.len(), 2);
         assert_eq!(r0.slices[0].offset, 0);
         assert_eq!(r0.slices[1].offset, 3);
@@ -887,13 +939,13 @@ mod tests {
     #[test]
     fn receiver_drops_out_of_order_beyond_budget() {
         let mut rx = ReceiverPeer::with_limit(4);
-        let r1 = rx.on_data(dh(1, 0, 4, 1, 3), g(b"abcd"));
+        let r1 = data(&mut rx, dh(1, 0, 4, 1, 3), g(b"abcd"));
         assert!(r1.buffered, "first packet fills the budget exactly");
-        let r2 = rx.on_data(dh(2, 0, 8, 2, 3), g(b"efgh"));
+        let r2 = data(&mut rx, dh(2, 0, 8, 2, 3), g(b"efgh"));
         assert!(r2.out_of_order && !r2.buffered, "budget exhausted: dropped");
         assert_eq!(rx.buffered_bytes(), 4);
         // Go-back-N still recovers: the hole fill splices what was kept.
-        let r0 = rx.on_data(dh(0, 0, 0, 0, 3), g(b"wxyz"));
+        let r0 = data(&mut rx, dh(0, 0, 0, 0, 3), g(b"wxyz"));
         assert_eq!(r0.slices.len(), 2);
         assert_eq!(r0.ack, 1);
     }
@@ -901,7 +953,7 @@ mod tests {
     #[test]
     fn zero_limit_is_pure_go_back_n() {
         let mut rx = ReceiverPeer::with_limit(0);
-        let r = rx.on_data(dh(1, 0, 1, 1, 2), g(b"y"));
+        let r = data(&mut rx, dh(1, 0, 1, 1, 2), g(b"y"));
         assert!(r.out_of_order && !r.buffered);
         assert_eq!(rx.buffered_bytes(), 0);
     }
@@ -910,9 +962,9 @@ mod tests {
     fn receiver_suppresses_duplicates() {
         let mut rx = ReceiverPeer::new();
         let h = dh(0, 0, 0, 0, 1);
-        let first = rx.on_data(h, g(b"x"));
+        let first = data(&mut rx, h, g(b"x"));
         assert_eq!(first.slices.len(), 1);
-        let dup = rx.on_data(h, g(b"x"));
+        let dup = data(&mut rx, h, g(b"x"));
         assert!(dup.slices.is_empty());
         assert!(dup.duplicate);
         assert_eq!(dup.ack, 0); // re-ack so the sender resyncs
@@ -922,8 +974,8 @@ mod tests {
     fn duplicate_of_a_buffered_packet_is_suppressed() {
         let mut rx = ReceiverPeer::new();
         let h = dh(2, 0, 2, 1, 3);
-        assert!(rx.on_data(h, g(b"y")).buffered);
-        let dup = rx.on_data(h, g(b"y"));
+        assert!(data(&mut rx, h, g(b"y")).buffered);
+        let dup = data(&mut rx, h, g(b"y"));
         assert!(dup.duplicate, "already held: retransmission suppressed");
         assert_eq!(rx.buffered_bytes(), 1, "no double accounting");
     }
@@ -938,18 +990,18 @@ mod tests {
         let mut tx = SenderPeer::new();
         let mut rx = ReceiverPeer::new();
         let mut asm = Assembler::default();
-        let pkts = tx.enqueue_message(g(b"0123456789"), &c, t);
+        let pkts = enqueue(&mut tx, g(b"0123456789"), &c, t);
         let pkts = decode(&pkts);
 
         // Deliver fragment 0 only.
-        let r0 = rx.on_data(pkts[0].header, pkts[0].body.clone());
+        let r0 = data(&mut rx, pkts[0].header, pkts[0].body.clone());
         assert_eq!(r0.ack, 0);
         assert!(fold(&mut asm, r0).is_none());
-        tx.on_ack(0, &c, t);
+        ack(&mut tx, 0, &c, t);
         // Fragment 1 lost; fragment 2 arrives out of order and is held.
-        let r2 = rx.on_data(pkts[2].header, pkts[2].body.clone());
+        let r2 = data(&mut rx, pkts[2].header, pkts[2].body.clone());
         assert!(r2.out_of_order && r2.buffered);
-        tx.on_ack(r2.ack, &c, t); // duplicate cumulative ack: no progress
+        ack(&mut tx, r2.ack, &c, t); // duplicate cumulative ack: no progress
 
         // Timeout: resend in-flight (seq 1, 2).
         let resend = tx.on_timeout(&c, t);
@@ -957,12 +1009,12 @@ mod tests {
         assert_eq!(resend.len(), 2);
         let mut delivered = None;
         for p in &resend {
-            let r = rx.on_data(p.header, p.body.clone());
-            let ack = r.ack;
+            let r = data(&mut rx, p.header, p.body.clone());
+            let cumulative = r.ack;
             if let Some(d) = fold(&mut asm, r) {
                 delivered = Some(d);
             }
-            tx.on_ack(ack, &c, t);
+            ack(&mut tx, cumulative, &c, t);
         }
         assert_eq!(delivered.map(|d| d.to_vec()), Some(b"0123456789".to_vec()));
         assert_eq!(tx.outstanding(), 0);
@@ -973,7 +1025,7 @@ mod tests {
     fn fragment_offsets_are_absolute_payload_positions() {
         let c = cfg(); // mtu 4
         let mut tx = SenderPeer::new();
-        let pkts = decode(&tx.enqueue_message(g(b"0123456789"), &c, now()));
+        let pkts = decode(&enqueue(&mut tx, g(b"0123456789"), &c, now()));
         let offs: Vec<u64> = pkts
             .iter()
             .map(|p| match p.header {
@@ -990,7 +1042,7 @@ mod tests {
         let t = now();
         let mut tx = SenderPeer::with_initial_credit(0);
         // Nothing may leave: no credits yet.
-        assert!(tx.enqueue_message(g(b"0123456789"), &c, t).is_empty());
+        assert!(enqueue(&mut tx, g(b"0123456789"), &c, t).is_empty());
         assert!(tx.is_credit_blocked());
         assert!(tx.deadline().is_some(), "probe timer must be armed");
         // The timer fires a PROBE, not a retransmission.
@@ -999,11 +1051,11 @@ mod tests {
         let probe = r.probe.expect("credit-blocked empty window probes");
         assert_eq!(Packet::decode_gather(&probe).unwrap(), Packet::probe(0));
         // A credit grant releases exactly what the horizon allows.
-        let released = decode(&tx.grant_credit(2, &c, t));
+        let released = decode(&grant(&mut tx, 2, &c, t));
         assert_eq!(released.len(), 2);
         assert!(tx.is_credit_blocked(), "fragment 2 still blocked");
         // Full grant releases the rest and clears the block.
-        let released = tx.grant_credit(100, &c, t);
+        let released = grant(&mut tx, 100, &c, t);
         assert_eq!(released.len(), 1);
         assert!(!tx.is_credit_blocked());
         let (stalls, resumes) = tx.take_credit_transitions();
@@ -1015,12 +1067,12 @@ mod tests {
         let c = cfg();
         let t = now();
         let mut tx = SenderPeer::with_initial_credit(5);
-        tx.enqueue_message(g(b"0123456789"), &c, t); // 3 frags, all admitted
+        enqueue(&mut tx, g(b"0123456789"), &c, t); // 3 frags, all admitted
         assert_eq!(tx.credit(), 5);
         // A reordered ack advertising less must not shrink the horizon.
-        tx.grant_credit(2, &c, t);
+        grant(&mut tx, 2, &c, t);
         assert_eq!(tx.credit(), 5);
-        tx.grant_credit(9, &c, t);
+        grant(&mut tx, 9, &c, t);
         assert_eq!(tx.credit(), 9);
     }
 
@@ -1029,7 +1081,7 @@ mod tests {
         let c = cfg();
         let t = now();
         let mut tx = SenderPeer::with_initial_credit(0);
-        tx.enqueue_message(g(b"hi"), &c, t);
+        enqueue(&mut tx, g(b"hi"), &c, t);
         let mut last = Duration::ZERO;
         for i in 1..=10u32 {
             let before = now();
@@ -1054,7 +1106,7 @@ mod tests {
         let c = cfg(); // window 3
         let t = now();
         let mut tx = SenderPeer::with_initial_credit(1);
-        let sent = tx.enqueue_message(g(b"0123456789"), &c, t); // 3 frags
+        let sent = enqueue(&mut tx, g(b"0123456789"), &c, t); // 3 frags
         assert_eq!(sent.len(), 1, "credit 1 admits one despite window 3");
         assert!(tx.is_credit_blocked());
         // The in-flight packet keeps the retransmission deadline armed; a
@@ -1063,8 +1115,8 @@ mod tests {
         assert_eq!(r.resend.len(), 1);
         assert!(r.probe.is_none());
         // Ack plus a grown horizon releases the rest.
-        let grants = tx.grant_credit(3, &c, t);
-        let out = tx.on_ack(0, &c, t);
+        let grants = grant(&mut tx, 3, &c, t);
+        let out = ack(&mut tx, 0, &c, t);
         assert_eq!(decode(&grants).len() + decode(&out.released).len(), 2);
     }
 
@@ -1092,7 +1144,7 @@ mod tests {
             let mut wire: VecDeque<Gather> = VecDeque::new();
             let mut received: Vec<Vec<u8>> = Vec::new();
             for m in &messages {
-                wire.extend(tx.enqueue_message(Gather::from_vec(m.clone()), &c, t));
+                wire.extend(enqueue(&mut tx, Gather::from_vec(m.clone()), &c, t));
             }
             let mut loss = loss_pattern.iter().cycle();
             // Cap drops per sequence number so adversarial cyclic patterns
@@ -1113,7 +1165,7 @@ mod tests {
                         *dropped += 1;
                         continue; // dropped by the wire
                     }
-                    let r = rx.on_data(p.header, p.body);
+                    let r = data(&mut rx, p.header, p.body);
                     for s in r.slices {
                         // Streamed offsets must agree with the assembled
                         // byte positions.
@@ -1125,7 +1177,7 @@ mod tests {
                             received.push(d.to_vec());
                         }
                     }
-                    wire.extend(tx.on_ack(r.ack, &c, t).released);
+                    wire.extend(ack(&mut tx, r.ack, &c, t).released);
                 } else {
                     // Wire empty: fire the retransmission timer.
                     wire.extend(tx.on_timeout(&c, t).resend);

@@ -37,7 +37,7 @@
 
 use crate::config::TransportConfig;
 use crate::endpoint::{Delivery, IncomingMessage, StreamFragment};
-use crate::peer::{Assembler, ReceiverPeer, SenderPeer};
+use crate::peer::{Assembler, FragSlice, ReceiverPeer, SenderPeer};
 use crate::stats::{FlowStats, TransportStats};
 use crossbeam::channel::{Receiver, Sender};
 use portals_net::{Datagram, Link};
@@ -122,6 +122,13 @@ pub(crate) struct ProgressCore {
     /// peer's deadline moves every time it sends or is acked, and stale
     /// entries are discarded (or corrected) when they reach the top.
     timers: BinaryHeap<Reverse<(Instant, NodeId)>>,
+    /// Reused output buffers of the peer state machines: packets a send, an
+    /// ack or a credit grant released; slices an arrival released; acks owed
+    /// at the end of a receive batch. Taken for the duration of one step and
+    /// put back, so the steady-state data path allocates none of them.
+    packets: Vec<Gather>,
+    slices: Vec<FragSlice>,
+    pending_acks: Vec<(NodeId, u64)>,
 }
 
 /// The NIC-thread driver: the classic select loop around a [`ProgressCore`].
@@ -187,6 +194,9 @@ impl ProgressCore {
             pending_frag: None,
             peer_retx: HashMap::new(),
             timers: BinaryHeap::new(),
+            packets: Vec::new(),
+            slices: Vec::new(),
+            pending_acks: Vec::new(),
         }
     }
 
@@ -326,24 +336,27 @@ impl ProgressCore {
                 .bytes(msg_len)
         });
         let before = peer.outstanding();
-        let packets = peer.enqueue_message(msg, &self.cfg, now);
+        let mut packets = std::mem::take(&mut self.packets);
+        peer.enqueue_message(msg, &self.cfg, now, &mut packets);
         self.outstanding
             .fetch_add(peer.outstanding() - before, Ordering::Relaxed);
         Self::drain_flow_transitions(&self.flow, peer);
-        self.send_data(dst, packets, Stage::Fragment);
+        self.send_data(dst, &mut packets, Stage::Fragment);
+        self.packets = packets;
         self.arm_timer(dst);
         self.publish_deadline();
     }
 
-    /// Put `packets` on the wire, counting them and (when tracing) emitting
-    /// one `stage` event per packet. Header decoding for the trace is gated on
-    /// the tracer being enabled — the decode is a zero-copy header peek, and
-    /// the disabled path pays only the branch.
-    fn send_data(&self, dst: NodeId, packets: Vec<Gather>, stage: Stage) {
+    /// Put `packets` on the wire (leaving the vector empty), counting them
+    /// and (when tracing) emitting one `stage` event per packet. Header
+    /// decoding for the trace is gated on the tracer being enabled — the
+    /// decode is a zero-copy header peek, and the disabled path pays only the
+    /// branch.
+    fn send_data(&self, dst: NodeId, packets: &mut Vec<Gather>, stage: Stage) {
         self.stats
             .add(&self.stats.data_packets_sent, packets.len() as u64);
         if self.obs.tracer.enabled() {
-            for p in &packets {
+            for p in packets.iter() {
                 if let Ok(pkt) = Packet::decode_gather(p) {
                     if let PacketHeader::Data { seq, msg_id, .. } = pkt.header {
                         self.obs.tracer.emit(|| {
@@ -358,18 +371,14 @@ impl ProgressCore {
                 }
             }
         }
-        // The per-destination flush is already a coalesced burst of
-        // fragments; hand it to the wire as one vector so a batching
-        // backend (sendmmsg) crosses the OS boundary once for all of them.
-        self.link
-            .send_batch(packets.into_iter().map(|p| (dst, p)).collect());
+        send_all(&*self.link, packets.drain(..).map(|p| (dst, p)));
     }
 
     /// Drain up to `recv_batch` datagrams for one wakeup, then flush one
     /// cumulative ACK per source seen in the batch. `recv_batch = 1` degrades
     /// to the per-packet-ack behaviour exactly.
     pub(crate) fn on_inbound(&mut self, first: Datagram) {
-        let mut pending_acks: Vec<(NodeId, u64)> = Vec::new();
+        let mut pending_acks = std::mem::take(&mut self.pending_acks);
         self.process_datagram(first, &mut pending_acks);
         for _ in 1..self.cfg.recv_batch.max(1) {
             match self.inbound.try_recv() {
@@ -380,15 +389,14 @@ impl ProgressCore {
         // Hand up whatever streamed run the batch accumulated before acking:
         // the advertised credit already reflects its message accounting.
         self.flush_pending_frag();
-        let acks: Vec<_> = pending_acks
-            .into_iter()
-            .map(|(src, cumulative)| {
-                self.stats.add(&self.stats.acks_sent, 1);
-                let credit = self.advertised_credit(src);
-                (src, Packet::ack(cumulative, credit).encode())
-            })
-            .collect();
-        self.link.send_batch(acks);
+        self.stats
+            .add(&self.stats.acks_sent, pending_acks.len() as u64);
+        let acks = pending_acks.drain(..).map(|(src, cumulative)| {
+            let credit = self.advertised_credit(src);
+            (src, Packet::ack(cumulative, credit).encode())
+        });
+        send_all(&*self.link, acks);
+        self.pending_acks = pending_acks;
     }
 
     /// Queue the coalesced streamed-fragment run (if any) to the consumer
@@ -444,22 +452,20 @@ impl ProgressCore {
                     // one pass. Monotonic max inside `grant_credit` makes
                     // reordered/duplicated acks harmless. Peers created under
                     // `flow_control = off` sit at u64::MAX and ignore this.
-                    let granted = if self.cfg.flow_control {
+                    let mut released = std::mem::take(&mut self.packets);
+                    if self.cfg.flow_control {
                         let before = peer.credit();
-                        let released = peer.grant_credit(credit, &self.cfg, now);
+                        peer.grant_credit(credit, &self.cfg, now, &mut released);
                         if before != u64::MAX && peer.credit() > before {
                             self.flow.credits_granted.add(peer.credit() - before);
                         }
-                        released
-                    } else {
-                        Vec::new()
-                    };
+                    }
                     let before = peer.outstanding();
-                    let outcome = peer.on_ack(cumulative, &self.cfg, now);
+                    let recovered = peer.on_ack(cumulative, &self.cfg, now, &mut released);
                     let after = peer.outstanding();
                     self.outstanding
                         .fetch_sub(before - after, Ordering::Relaxed);
-                    if outcome.recovered {
+                    if recovered {
                         self.stats.add(&self.stats.peers_recovered, 1);
                         self.stats.stalled_now.dec();
                         self.obs.tracer.emit(|| {
@@ -470,8 +476,8 @@ impl ProgressCore {
                         });
                     }
                     Self::drain_flow_transitions(&self.flow, peer);
-                    self.send_data(src, granted, Stage::Fragment);
-                    self.send_data(src, outcome.released, Stage::Fragment);
+                    self.send_data(src, &mut released, Stage::Fragment);
+                    self.packets = released;
                     self.arm_timer(src);
                 }
             }
@@ -517,7 +523,8 @@ impl ProgressCore {
                     .rx_peers
                     .entry(src)
                     .or_insert_with(|| ReceiverPeer::with_limit(limit));
-                let result = peer.on_data(header, packet.body);
+                let mut slices = std::mem::take(&mut self.slices);
+                let result = peer.on_data(header, packet.body, &mut slices);
                 let hwm = peer.buffered_hwm() as i64;
                 if result.duplicate {
                     self.stats.add(&self.stats.duplicates_dropped, 1);
@@ -549,13 +556,11 @@ impl ProgressCore {
                 } else {
                     // In-order arrival: the packet itself plus every buffered
                     // successor it spliced back into the stream.
-                    self.stats.add(
-                        &self.stats.data_packets_accepted,
-                        result.slices.len() as u64,
-                    );
+                    self.stats
+                        .add(&self.stats.data_packets_accepted, slices.len() as u64);
                 }
                 let mut delivered_any = false;
-                for slice in result.slices {
+                for slice in slices.drain(..) {
                     if self.cfg.streaming && slice.frag_count > 1 {
                         // Stream the fragment upward with its placement
                         // offset; the consumer scatters it immediately
@@ -620,6 +625,7 @@ impl ProgressCore {
                         delivered_any = true;
                     }
                 }
+                self.slices = slices;
                 if delivered_any {
                     // Doorbell after the enqueue: a parked consumer (possibly
                     // on another thread, serviced by this one) wakes and finds
@@ -677,7 +683,8 @@ impl ProgressCore {
                     }
                     let bytes: u64 = result.resend.iter().map(|p| p.len() as u64).sum();
                     self.stats.add(&self.stats.resend_bytes, bytes);
-                    self.send_data(nid, result.resend, Stage::Retransmit);
+                    let mut resend = result.resend;
+                    self.send_data(nid, &mut resend, Stage::Retransmit);
                     if let Some(probe) = result.probe {
                         self.flow.probes_sent.inc();
                         self.obs.tracer.emit(|| {
@@ -696,5 +703,21 @@ impl ProgressCore {
                 None => {}
             }
         }
+    }
+}
+
+/// Hand datagrams to the link. A burst goes out as one vector so a batching
+/// backend (sendmmsg) crosses the OS boundary once for all of it; a lone
+/// datagram takes [`Link::send`] — the same per-datagram semantics, with no
+/// vector to allocate.
+fn send_all(link: &dyn Link, mut datagrams: impl ExactSizeIterator<Item = (NodeId, Gather)>) {
+    match datagrams.len() {
+        0 => {}
+        1 => {
+            if let Some((dst, payload)) = datagrams.next() {
+                link.send(dst, payload);
+            }
+        }
+        _ => link.send_batch(datagrams.collect()),
     }
 }

@@ -10,15 +10,70 @@
 //! [`Gather::to_bytes`] is free when the gather already has a single segment
 //! and coalesces otherwise, and [`Gather::peek`] copies a small fixed-size
 //! prefix (wire headers) onto the caller's stack.
+//!
+//! A small message is one to three segments (a transport header, a Portals
+//! header, the payload view), so the first three segments live inline in the
+//! gather itself: building, slicing, cloning and concatenating small gathers
+//! allocates nothing. Only a gather that grows past that spills its segments
+//! into a heap `Vec`.
 
 use crate::region::Region;
 use bytes::Bytes;
 use std::fmt;
 
+/// Segments a [`Gather`] holds without a heap allocation.
+const INLINE_SEGMENTS: usize = 3;
+
+/// Segment storage: inline up to `INLINE_SEGMENTS`, a `Vec` beyond.
+#[derive(Clone)]
+enum Segs {
+    /// The first `n` entries are the segments; the rest are empty
+    /// placeholders (an empty [`Bytes`] allocates nothing).
+    Inline {
+        n: usize,
+        segs: [Bytes; INLINE_SEGMENTS],
+    },
+    Heap(Vec<Bytes>),
+}
+
+impl Segs {
+    fn as_slice(&self) -> &[Bytes] {
+        match self {
+            Segs::Inline { n, segs } => &segs[..*n],
+            Segs::Heap(v) => v,
+        }
+    }
+
+    fn push(&mut self, b: Bytes) {
+        match self {
+            Segs::Inline { n, segs } if *n < INLINE_SEGMENTS => {
+                segs[*n] = b;
+                *n += 1;
+            }
+            Segs::Inline { segs, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE_SEGMENTS);
+                v.extend(segs.iter_mut().map(std::mem::take));
+                v.push(b);
+                *self = Segs::Heap(v);
+            }
+            Segs::Heap(v) => v.push(b),
+        }
+    }
+}
+
+impl Default for Segs {
+    fn default() -> Segs {
+        Segs::Inline {
+            n: 0,
+            segs: Default::default(),
+        }
+    }
+}
+
 /// An ordered sequence of [`Bytes`] segments forming one logical byte string.
 #[derive(Clone, Default)]
 pub struct Gather {
-    segs: Vec<Bytes>,
+    segs: Segs,
     len: usize,
 }
 
@@ -30,11 +85,9 @@ impl Gather {
 
     /// A gather of one segment.
     pub fn from_bytes(b: Bytes) -> Gather {
-        let len = b.len();
-        if len == 0 {
-            return Gather::new();
-        }
-        Gather { segs: vec![b], len }
+        let mut g = Gather::new();
+        g.push(b);
+        g
     }
 
     /// Take ownership of `v` as a single segment (no copy).
@@ -59,12 +112,12 @@ impl Gather {
 
     /// Number of segments (empty segments are never stored).
     pub fn segment_count(&self) -> usize {
-        self.segs.len()
+        self.segments().len()
     }
 
     /// The segments, in order.
     pub fn segments(&self) -> &[Bytes] {
-        &self.segs
+        self.segs.as_slice()
     }
 
     /// Append `b` as a new segment (no copy). Empty segments are dropped.
@@ -78,7 +131,18 @@ impl Gather {
     /// Append every segment of `other` (no copy).
     pub fn append(&mut self, other: Gather) {
         self.len += other.len;
-        self.segs.extend(other.segs);
+        match other.segs {
+            Segs::Inline { n, segs } => {
+                for b in segs.into_iter().take(n) {
+                    self.segs.push(b);
+                }
+            }
+            Segs::Heap(v) => {
+                for b in v {
+                    self.segs.push(b);
+                }
+            }
+        }
     }
 
     /// Zero-copy sub-gather covering `[start, start + len)`.
@@ -94,7 +158,7 @@ impl Gather {
         let mut out = Gather::new();
         let mut skip = start;
         let mut want = len;
-        for seg in &self.segs {
+        for seg in self.segments() {
             if want == 0 {
                 break;
             }
@@ -116,7 +180,7 @@ impl Gather {
     /// payload behind them.
     pub fn peek(&self, dst: &mut [u8]) -> usize {
         let mut filled = 0;
-        for seg in &self.segs {
+        for seg in self.segments() {
             if filled == dst.len() {
                 break;
             }
@@ -131,7 +195,7 @@ impl Gather {
     pub fn copy_to_slice(&self, dst: &mut [u8]) {
         assert_eq!(dst.len(), self.len, "destination length mismatch");
         let mut at = 0;
-        for seg in &self.segs {
+        for seg in self.segments() {
             dst[at..at + seg.len()].copy_from_slice(seg);
             at += seg.len();
         }
@@ -141,7 +205,7 @@ impl Gather {
     /// [`Region::write`] per segment.
     pub fn copy_to_region(&self, region: &Region, offset: usize) {
         let mut at = offset;
-        for seg in &self.segs {
+        for seg in self.segments() {
             region.write(at, seg);
             at += seg.len();
         }
@@ -152,9 +216,9 @@ impl Gather {
     /// Free when the gather has zero or one segment (the segment is shared,
     /// not copied); coalesces into a fresh allocation otherwise.
     pub fn to_bytes(&self) -> Bytes {
-        match self.segs.len() {
-            0 => Bytes::new(),
-            1 => self.segs[0].clone(),
+        match self.segments() {
+            [] => Bytes::new(),
+            [only] => only.clone(),
             _ => Bytes::from(self.to_vec()),
         }
     }
@@ -168,7 +232,7 @@ impl Gather {
 
     /// Iterate the logical bytes (for tests and diagnostics; O(1) per byte).
     pub fn iter_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        self.segs.iter().flat_map(|s| s.iter().copied())
+        self.segments().iter().flat_map(|s| s.iter().copied())
     }
 }
 
@@ -212,7 +276,7 @@ impl fmt::Debug for Gather {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Gather")
             .field("len", &self.len)
-            .field("segments", &self.segs.len())
+            .field("segments", &self.segment_count())
             .finish()
     }
 }
@@ -301,5 +365,121 @@ mod tests {
         let r = Region::zeroed(12);
         g.copy_to_region(&r, 2);
         assert_eq!(r.read_vec(2, 9), (0u8..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn small_gathers_stay_inline_and_spill_past_the_limit() {
+        let mut g = Gather::new();
+        for i in 0..INLINE_SEGMENTS as u8 {
+            g.push(Bytes::from(vec![i]));
+        }
+        assert!(matches!(g.segs, Segs::Inline { .. }));
+        g.push(Bytes::from(vec![9u8]));
+        assert!(matches!(g.segs, Segs::Heap(_)));
+        assert_eq!(g.to_vec(), vec![0, 1, 2, 9]);
+        assert_eq!(g.segment_count(), INLINE_SEGMENTS + 1);
+    }
+
+    /// The reference model: a plain segment list, sliced by the same rule
+    /// `Gather::slice` documents (one sub-view per overlapped segment).
+    fn model_slice(model: &[Bytes], start: usize, len: usize) -> Vec<Bytes> {
+        let mut out = Vec::new();
+        let (mut skip, mut want) = (start, len);
+        for seg in model {
+            if want == 0 {
+                break;
+            }
+            if skip >= seg.len() {
+                skip -= seg.len();
+                continue;
+            }
+            let take = (seg.len() - skip).min(want);
+            out.push(seg.slice(skip..skip + take));
+            skip = 0;
+            want -= take;
+        }
+        out
+    }
+
+    fn model_bytes(model: &[Bytes]) -> Vec<u8> {
+        model.iter().flat_map(|s| s.iter().copied()).collect()
+    }
+
+    fn seg(len: usize, seed: u16) -> Bytes {
+        Bytes::from(
+            (0..len)
+                .map(|i| (i as u16 ^ seed) as u8)
+                .collect::<Vec<u8>>(),
+        )
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..Default::default() })]
+        #[test]
+        fn gather_matches_a_vec_of_bytes_model(
+            ops in proptest::collection::vec((0u8..5, any::<u16>(), any::<u16>(), 0usize..24), 1..40)
+        ) {
+            let mut g = Gather::new();
+            let mut model: Vec<Bytes> = Vec::new();
+            for (op, a, b, n) in ops {
+                match op {
+                    // push (empty segments are dropped by both)
+                    0 => {
+                        let s = seg(n, a);
+                        g.push(s.clone());
+                        if !s.is_empty() {
+                            model.push(s);
+                        }
+                    }
+                    // append a gather of up to five segments
+                    1 => {
+                        let mut other = Gather::new();
+                        for k in 0..(b % 6) {
+                            let s = seg((n + k as usize) % 9, a ^ k);
+                            other.push(s.clone());
+                            if !s.is_empty() {
+                                model.push(s);
+                            }
+                        }
+                        g.append(other);
+                    }
+                    // replace with a sub-range
+                    2 => {
+                        let total = g.len();
+                        let start = if total == 0 { 0 } else { a as usize % (total + 1) };
+                        let len = if total == start { 0 } else { b as usize % (total - start + 1) };
+                        g = g.slice(start, len);
+                        model = model_slice(&model, start, len);
+                    }
+                    // contiguous view: shared when there is one segment
+                    3 => {
+                        let bytes = g.to_bytes();
+                        prop_assert_eq!(bytes.to_vec(), model_bytes(&model));
+                        if model.len() == 1 {
+                            prop_assert_eq!(bytes.as_ref().as_ptr(), model[0].as_ref().as_ptr());
+                        }
+                    }
+                    // scatter into a region at an offset
+                    _ => {
+                        let off = a as usize % 7;
+                        let r = Region::zeroed(off + g.len());
+                        g.copy_to_region(&r, off);
+                        prop_assert_eq!(r.read_vec(off, g.len()), model_bytes(&model));
+                    }
+                }
+                // Segment for segment: same count, same bytes, same memory.
+                let segs = g.segments();
+                prop_assert_eq!(segs.len(), model.len());
+                for (s, m) in segs.iter().zip(&model) {
+                    prop_assert_eq!(s, m);
+                    prop_assert_eq!(s.as_ref().as_ptr(), m.as_ref().as_ptr());
+                }
+                prop_assert_eq!(g.len(), model.iter().map(Bytes::len).sum::<usize>());
+                let clone = g.clone();
+                prop_assert_eq!(clone.segments(), g.segments());
+            }
+        }
     }
 }

@@ -108,16 +108,24 @@ impl Region {
         self.inner.ptr
     }
 
-    /// Lock every stripe overlapping `[offset, offset + len)`, ascending.
-    fn lock_range(&self, offset: usize, len: usize) -> Vec<MutexGuard<'_, ()>> {
+    /// Run `f` holding the lock of every stripe overlapping
+    /// `[offset, offset + len)`, acquired in ascending order. The common
+    /// case — a range inside one stripe — takes that one lock directly;
+    /// only a range spanning stripes collects its guards.
+    fn locked<R>(&self, offset: usize, len: usize, f: impl FnOnce() -> R) -> R {
         if len == 0 {
-            return Vec::new();
+            return f();
         }
         let first = offset / STRIPE_SIZE;
         let last = (offset + len - 1) / STRIPE_SIZE;
-        (first..=last)
+        if first == last {
+            let _guard = self.inner.stripes[first].lock();
+            return f();
+        }
+        let _guards: Vec<MutexGuard<'_, ()>> = (first..=last)
             .map(|i| self.inner.stripes[i].lock())
-            .collect()
+            .collect();
+        f()
     }
 
     /// Zero-copy [`Bytes`] view of `[offset, offset + len)`.
@@ -130,9 +138,11 @@ impl Region {
             "slice [{offset}, {offset}+{len}) exceeds region of {} bytes",
             self.len()
         );
-        let owner: Arc<dyn std::any::Any + Send + Sync> = Arc::new(self.clone());
-        // SAFETY: the pointer stays valid while `owner` (a region handle) is
-        // alive, and bounds were checked above.
+        // The view shares the region's own refcount: no allocation, and
+        // `handle_count` sees it like any other handle.
+        let owner: Arc<dyn std::any::Any + Send + Sync> = self.inner.clone();
+        // SAFETY: the pointer stays valid while `owner` (the allocation
+        // itself) is alive, and bounds were checked above.
         unsafe { Bytes::from_raw_owner(self.base_ptr().add(offset), len, owner) }
     }
 
@@ -148,12 +158,11 @@ impl Region {
             src.len(),
             self.len()
         );
-        let _guards = self.lock_range(offset, src.len());
         // SAFETY: bounds checked; stripe locks exclude every other writer to
         // this range.
-        unsafe {
+        self.locked(offset, src.len(), || unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.base_ptr().add(offset), src.len());
-        }
+        })
     }
 
     /// Read-modify-write `[offset, offset + len)` under the stripe locks.
@@ -167,10 +176,13 @@ impl Region {
             "rmw [{offset}, {offset}+{len}) exceeds region of {} bytes",
             self.len()
         );
-        let _guards = self.lock_range(offset, len);
-        // SAFETY: bounds checked; stripe locks grant exclusive write access.
-        let window = unsafe { std::slice::from_raw_parts_mut(self.base_ptr().add(offset), len) };
-        f(window);
+        self.locked(offset, len, || {
+            // SAFETY: bounds checked; stripe locks grant exclusive write
+            // access.
+            let window =
+                unsafe { std::slice::from_raw_parts_mut(self.base_ptr().add(offset), len) };
+            f(window)
+        })
     }
 
     /// Copy `[offset, offset + dst.len())` into `dst` (unlocked read).
@@ -318,5 +330,34 @@ mod tests {
         r.write(0, &[]);
         assert_eq!(r.slice(0, 0).len(), 0);
         assert!(r.read_vec(0, 0).is_empty());
+    }
+
+    #[test]
+    fn writes_on_and_across_stripe_boundaries() {
+        let r = Region::zeroed(3 * STRIPE_SIZE);
+        let fill = |len: usize, seed: u8| -> Vec<u8> {
+            (0..len).map(|i| (i as u8).wrapping_mul(7) ^ seed).collect()
+        };
+        // (offset, len): ends exactly on a boundary, starts exactly on one,
+        // one whole stripe, straddles one boundary, straddles two.
+        let cases = [
+            (STRIPE_SIZE - 8, 8),
+            (STRIPE_SIZE, 8),
+            (STRIPE_SIZE, STRIPE_SIZE),
+            (STRIPE_SIZE - 3, 6),
+            (STRIPE_SIZE - 1, STRIPE_SIZE + 2),
+            (0, 3 * STRIPE_SIZE),
+        ];
+        for (k, &(off, len)) in cases.iter().enumerate() {
+            let before = r.read_vec(0, r.len());
+            let src = fill(len, k as u8 + 1);
+            r.write(off, &src);
+            let mut want = before;
+            want[off..off + len].copy_from_slice(&src);
+            assert_eq!(r.read_vec(0, r.len()), want, "write at {off}+{len}");
+        }
+        // rmw across a boundary sees and replaces exactly its window.
+        r.rmw(STRIPE_SIZE - 2, 4, |w| w.copy_from_slice(&[1, 2, 3, 4]));
+        assert_eq!(r.read_vec(STRIPE_SIZE - 3, 6)[1..5], [1, 2, 3, 4]);
     }
 }

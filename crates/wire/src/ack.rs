@@ -2,7 +2,7 @@
 
 use crate::error::WireError;
 use crate::header::{check_len, ResponseHeader};
-use bytes::BytesMut;
+use bytes::BufMut;
 
 /// An acknowledgment of a put.
 ///
@@ -21,7 +21,7 @@ impl Ack {
     /// Size on the wire (headers only; acks never carry data).
     pub const WIRE_SIZE: usize = ResponseHeader::WIRE_SIZE;
 
-    pub(crate) fn encode_body(&self, buf: &mut BytesMut) {
+    pub(crate) fn encode_body(&self, buf: &mut impl BufMut) {
         self.header.encode(buf);
     }
 
@@ -37,6 +37,7 @@ impl Ack {
 mod tests {
     use super::*;
     use crate::header::RAW_HANDLE_NONE;
+    use bytes::BytesMut;
     use portals_types::{MatchBits, ProcessId};
 
     fn sample() -> Ack {

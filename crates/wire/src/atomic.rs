@@ -155,7 +155,7 @@ impl AtomicRequest {
     }
 
     /// Write the fixed-size portion (envelope excluded) into `buf`.
-    pub(crate) fn encode_header(&self, buf: &mut BytesMut) {
+    pub(crate) fn encode_header(&self, buf: &mut impl BufMut) {
         self.header.encode(buf);
         buf.put_u8(self.op.to_byte());
         buf.put_u8(self.datatype.to_byte());

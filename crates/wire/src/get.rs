@@ -2,7 +2,7 @@
 
 use crate::error::WireError;
 use crate::header::{check_len, RawHandle, RequestHeader};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 
 /// A get request: "the initiator sends a get request to the target" and the
 /// target replies with data (§4.3).
@@ -25,7 +25,7 @@ impl GetRequest {
     /// Size on the wire (gets carry no payload).
     pub const WIRE_SIZE: usize = RequestHeader::WIRE_SIZE + 8;
 
-    pub(crate) fn encode_body(&self, buf: &mut BytesMut) {
+    pub(crate) fn encode_body(&self, buf: &mut impl BufMut) {
         self.header.encode(buf);
         buf.put_u64_le(self.reply_md);
     }
@@ -42,6 +42,7 @@ impl GetRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
     use portals_types::{MatchBits, ProcessId};
 
     fn sample() -> GetRequest {

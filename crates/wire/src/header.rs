@@ -18,6 +18,42 @@ pub type RawHandle = u64;
 /// The wire encoding of "no handle" (no ack requested / no event queue).
 pub const RAW_HANDLE_NONE: RawHandle = u64::MAX;
 
+/// A fixed-capacity staging buffer on the stack. Header encoders write into
+/// it through [`BufMut`]; the finished header is then copied once into its
+/// own wire segment, so building a header costs one allocation rather than a
+/// growable buffer plus a copy out of it. Overflowing `N` panics.
+pub(crate) struct StackBuf<const N: usize> {
+    buf: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> StackBuf<N> {
+    pub(crate) fn new() -> StackBuf<N> {
+        StackBuf {
+            buf: [0; N],
+            len: 0,
+        }
+    }
+
+    /// The bytes written so far.
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    /// Overwrite already-written bytes at `at` (a field whose value depends
+    /// on what follows it, like a checksum).
+    pub(crate) fn patch(&mut self, at: usize, src: &[u8]) {
+        self.buf[..self.len][at..at + src.len()].copy_from_slice(src);
+    }
+}
+
+impl<const N: usize> BufMut for StackBuf<N> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.buf[self.len..self.len + src.len()].copy_from_slice(src);
+        self.len += src.len();
+    }
+}
+
 pub(crate) fn put_process_id(buf: &mut impl BufMut, id: ProcessId) {
     buf.put_u32_le(id.nid.0);
     buf.put_u32_le(id.pid);

@@ -7,11 +7,11 @@ use crate::ack::Ack;
 use crate::atomic::AtomicRequest;
 use crate::error::WireError;
 use crate::get::GetRequest;
-use crate::header::{RequestHeader, ResponseHeader};
+use crate::header::{RequestHeader, ResponseHeader, StackBuf};
 use crate::op::Operation;
 use crate::put::PutRequest;
 use crate::reply::Reply;
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use portals_types::{Gather, ProcessId};
 
 /// Magic byte identifying Portals 3.0 traffic ('P' ^ 0x30).
@@ -183,8 +183,8 @@ impl PortalsMessage {
     /// fixed-size header, followed by the payload's own segments shared
     /// without copying. Byte-identical to [`PortalsMessage::encode`].
     pub fn encode_gather(&self) -> Gather {
-        let mut hdr = BytesMut::with_capacity(self.encoded_len() - self.payload_len());
-        hdr.extend_from_slice(&[MAGIC, self.operation().to_byte()]);
+        let mut hdr = StackBuf::<{ Self::MAX_FIXED }>::new();
+        hdr.put_slice(&[MAGIC, self.operation().to_byte()]);
         let payload = match self {
             PortalsMessage::Put(m) => {
                 m.encode_header(&mut hdr);
@@ -207,7 +207,7 @@ impl PortalsMessage {
                 Some(&m.payload)
             }
         };
-        let mut out = Gather::from_bytes(hdr.freeze());
+        let mut out = Gather::from_bytes(Bytes::copy_from_slice(hdr.as_slice()));
         if let Some(p) = payload {
             out.append(p.clone());
         }

@@ -26,7 +26,8 @@
 
 use crate::checksum::Crc32;
 use crate::error::WireError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::header::StackBuf;
+use bytes::{Buf, BufMut, Bytes};
 use portals_types::Gather;
 
 /// Packet type discriminator.
@@ -174,11 +175,22 @@ impl Packet {
     /// so the decoder verifies the same span). Links that front a real wire
     /// ask the transport for this; it reads every body byte once at encode
     /// time, which the socket send was about to do anyway.
+    ///
+    /// The header is staged on the stack and copied once into its segment:
+    /// one allocation per packet.
     pub fn encode_with(&self, cover_body: bool) -> Gather {
-        // Kind byte + fields, staged first so the CRC can run over them
-        // before the prefix is written.
-        let mut fields = BytesMut::with_capacity(Self::DATA_HEADER_SIZE - Self::PREFIX_SIZE);
-        let flags = match self.header {
+        let is_data = matches!(self.header, PacketHeader::Data { .. });
+        let flags = if is_data && cover_body {
+            Self::FLAG_BODY_CRC
+        } else {
+            0
+        };
+        let mut hdr = StackBuf::<{ Self::DATA_HEADER_SIZE }>::new();
+        hdr.put_u8(Self::MAGIC);
+        hdr.put_u8(Self::VERSION);
+        hdr.put_u8(flags);
+        hdr.put_u32_le(0); // CRC, filled in once the fields are written
+        match self.header {
             PacketHeader::Data {
                 seq,
                 msg_id,
@@ -186,46 +198,34 @@ impl Packet {
                 frag_index,
                 frag_count,
             } => {
-                fields.put_u8(PacketKind::Data as u8);
-                fields.put_u64_le(seq);
-                fields.put_u64_le(msg_id);
-                fields.put_u64_le(offset);
-                fields.put_u32_le(frag_index);
-                fields.put_u32_le(frag_count);
-                if cover_body {
-                    Self::FLAG_BODY_CRC
-                } else {
-                    0
-                }
+                hdr.put_u8(PacketKind::Data as u8);
+                hdr.put_u64_le(seq);
+                hdr.put_u64_le(msg_id);
+                hdr.put_u64_le(offset);
+                hdr.put_u32_le(frag_index);
+                hdr.put_u32_le(frag_count);
             }
             PacketHeader::Ack { cumulative, credit } => {
-                fields.put_u8(PacketKind::Ack as u8);
-                fields.put_u64_le(cumulative);
-                fields.put_u64_le(credit);
-                0
+                hdr.put_u8(PacketKind::Ack as u8);
+                hdr.put_u64_le(cumulative);
+                hdr.put_u64_le(credit);
             }
             PacketHeader::Probe { base } => {
-                fields.put_u8(PacketKind::Probe as u8);
-                fields.put_u64_le(base);
-                0
+                hdr.put_u8(PacketKind::Probe as u8);
+                hdr.put_u64_le(base);
             }
-        };
+        }
         let mut crc = Crc32::new();
-        crc.update(&[Self::MAGIC, Self::VERSION, flags]);
-        crc.update(&fields);
+        crc.update(&hdr.as_slice()[..3]);
+        crc.update(&hdr.as_slice()[Self::PREFIX_SIZE..]);
         if flags & Self::FLAG_BODY_CRC != 0 {
             for seg in self.body.segments() {
                 crc.update(seg.as_ref());
             }
         }
-        let mut buf = BytesMut::with_capacity(Self::PREFIX_SIZE + fields.len());
-        buf.put_u8(Self::MAGIC);
-        buf.put_u8(Self::VERSION);
-        buf.put_u8(flags);
-        buf.put_u32_le(crc.finish());
-        buf.put_slice(&fields);
-        let mut out = Gather::from_bytes(buf.freeze());
-        if matches!(self.header, PacketHeader::Data { .. }) {
+        hdr.patch(3, &crc.finish().to_le_bytes());
+        let mut out = Gather::from_bytes(Bytes::copy_from_slice(hdr.as_slice()));
+        if is_data {
             out.append(self.body.clone());
         }
         out

@@ -41,7 +41,7 @@ impl PutRequest {
     }
 
     /// Write the fixed-size portion (envelope excluded) into `buf`.
-    pub(crate) fn encode_header(&self, buf: &mut BytesMut) {
+    pub(crate) fn encode_header(&self, buf: &mut impl BufMut) {
         self.header.encode(buf);
         buf.put_u64_le(self.ack_md);
         buf.put_u64_le(self.ack_eq);

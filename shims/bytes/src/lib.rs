@@ -14,13 +14,16 @@ use std::sync::Arc;
 
 /// Backing storage for a [`Bytes`] window.
 ///
-/// `Slab` is the ordinary case: an owned, immutable allocation. `Raw` lets an
-/// external allocator (e.g. a refcounted buffer region) expose a window over
-/// memory it owns without copying it into a fresh `Arc<[u8]>`; the `owner`
-/// keeps that memory alive for as long as any view exists.
+/// `Slab` is the ordinary case: an owned, immutable allocation. `Static`
+/// borrows memory that lives forever (the empty buffer included), so like the
+/// published crate it allocates nothing. `Raw` lets an external allocator
+/// (e.g. a refcounted buffer region) expose a window over memory it owns
+/// without copying it into a fresh `Arc<[u8]>`; the `owner` keeps that memory
+/// alive for as long as any view exists.
 #[derive(Clone)]
 enum Storage {
     Slab(Arc<[u8]>),
+    Static(&'static [u8]),
     Raw {
         ptr: *const u8,
         len: usize,
@@ -32,6 +35,7 @@ impl Storage {
     fn as_full_slice(&self) -> &[u8] {
         match self {
             Storage::Slab(data) => data,
+            Storage::Static(data) => data,
             // SAFETY: `from_raw_owner`'s contract guarantees `ptr` is valid
             // for `len` bytes for as long as `_owner` is alive, and `_owner`
             // lives at least as long as `self`.
@@ -40,8 +44,9 @@ impl Storage {
     }
 }
 
-// SAFETY: `Slab` is `Send + Sync` already; `Raw` carries a pointer into memory
-// owned by a `Send + Sync` owner, and the shim only ever reads through it.
+// SAFETY: `Slab` and `Static` are `Send + Sync` already; `Raw` carries a
+// pointer into memory owned by a `Send + Sync` owner, and the shim only ever
+// reads through it.
 unsafe impl Send for Storage {}
 unsafe impl Sync for Storage {}
 
@@ -63,20 +68,27 @@ impl Default for Bytes {
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation is shared until data exists).
-    pub fn new() -> Bytes {
-        Bytes::from_vec(Vec::new())
+    /// An empty buffer. Allocates nothing.
+    pub const fn new() -> Bytes {
+        Bytes::from_static(&[])
     }
 
-    /// Wrap a static slice. The shim copies once into shared storage; the
-    /// published crate avoids even that, but callers only rely on semantics.
-    pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes::from_vec(data.to_vec())
+    /// Wrap a static slice without copying or allocating.
+    pub const fn from_static(data: &'static [u8]) -> Bytes {
+        Bytes {
+            data: Storage::Static(data),
+            start: 0,
+            end: data.len(),
+        }
     }
 
-    /// Copy `data` into new shared storage.
+    /// Copy `data` into new shared storage (one allocation).
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from_vec(data.to_vec())
+        Bytes {
+            data: Storage::Slab(Arc::from(data)),
+            start: 0,
+            end: data.len(),
+        }
     }
 
     fn from_vec(v: Vec<u8>) -> Bytes {
@@ -548,6 +560,16 @@ mod tests {
         assert_eq!(b.get_u32_le(), 9);
         assert_eq!(b.remaining(), 1);
         assert_eq!(b.get_u8(), 8);
+    }
+
+    #[test]
+    fn static_and_empty_views_share_the_static_memory() {
+        static DATA: [u8; 3] = [1, 2, 3];
+        let b = Bytes::from_static(&DATA);
+        assert_eq!(b.as_slice().as_ptr(), DATA.as_ptr());
+        assert_eq!(&b.slice(1..)[..], &[2, 3]);
+        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::copy_from_slice(&DATA), b);
     }
 
     #[test]
