@@ -93,38 +93,6 @@ fn bench_loss(c: &mut Criterion) {
     g.finish();
 }
 
-/// Receive-batching ablation: `recv_batch = 1` is the per-packet-ack
-/// baseline, larger batches coalesce acks (one cumulative ACK per source per
-/// drained batch) and amortise the worker wakeup over the burst.
-fn bench_recv_batch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("transport_recv_batch");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(MSG as u64));
-    let link = LinkModel {
-        latency: Duration::from_micros(10),
-        bandwidth_bytes_per_sec: 500.0 * 1024.0 * 1024.0,
-        per_packet_overhead: Duration::from_micros(1),
-    };
-    for recv_batch in [1usize, 8, 64] {
-        let tcfg = TransportConfig {
-            mtu: 4096,
-            window: 128,
-            recv_batch,
-            ..Default::default()
-        };
-        g.bench_with_input(
-            BenchmarkId::from_parameter(recv_batch),
-            &tcfg,
-            |b, &tcfg| {
-                b.iter_custom(|iters| {
-                    run_transfer(FabricConfig::default().with_link(link), tcfg, iters)
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
 /// Buffer-model ablation at the transport layer: handing the endpoint a
 /// refcounted payload view (what the zero-copy portals path does) vs copying
 /// the message into a fresh flat buffer on every send (the old
@@ -167,7 +135,6 @@ criterion_group!(
     bench_mtu,
     bench_window,
     bench_loss,
-    bench_recv_batch,
     bench_buffer_model
 );
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! One-sided RMA window semantics (§2/§4.4): nonblocking puts/gets, engine
-//! atomics, notified access, flush/epoch calls, and the deprecated MPI-2-era
-//! shims — under both progress models and both progress modes.
+//! atomics, notified access and flush/epoch calls — under both progress
+//! models and both progress modes.
 
 use portals::{
     AtomicDatatype, AtomicOp, NiConfig, Node, NodeConfig, ProgressMode, ProgressModel, Region,
@@ -521,24 +521,4 @@ proptest! {
         });
         prop_assert_eq!(*observed.lock().unwrap(), expected);
     }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_move_data() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
-        let local = Region::zeroed(32);
-        let mut win = Window::create(&comm, 54, local.clone()).unwrap();
-        if comm.rank() == Rank(0) {
-            win.put(Rank(1), 0, b"legacy").unwrap();
-            win.fence().unwrap();
-            let data = win.get(Rank(1), 0, 6).unwrap();
-            assert_eq!(data, b"legacy");
-            win.fence().unwrap();
-        } else {
-            win.fence().unwrap();
-            assert_eq!(&local.read_vec(0, 6)[..], b"legacy");
-            win.fence().unwrap();
-        }
-    });
 }

@@ -513,15 +513,7 @@ fn handle_get(core: &NiCore, node: &NodeShared, get: GetRequest) {
     let payload = state
         .mds
         .with(accepted.md, |md| {
-            if core.config.region_buffers {
-                md.payload_gather(accepted.offset, accepted.mlength)
-            } else {
-                // Baseline: read the served bytes out into a flat buffer.
-                if accepted.mlength > 0 {
-                    core.counters.payload_copies.inc();
-                }
-                Gather::from_vec(md.read(accepted.offset, accepted.mlength))
-            }
+            md.payload_gather(accepted.offset, accepted.mlength)
         })
         .unwrap_or_default();
     core.counters.requests_accepted.inc();
@@ -913,7 +905,7 @@ fn handle_reply(core: &NiCore, node: &NodeShared, reply: Reply) {
 //
 // The streaming path splits §4.8 into two halves. At *header* time —
 // as soon as the first fragment of a put or reply arrives — the engine runs
-// every check and state transition the store-and-forward path would run
+// every check and state transition the whole-message path would run
 // (portal validity, ACL, translation, flow control, threshold commit,
 // managed-offset advance, auto-unlink), all under the portal lock, and
 // captures a clone of the matched descriptor's memory map. Payload fragments

@@ -51,7 +51,7 @@ use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
 use parking_lot::{Condvar, Mutex, RwLock};
 use portals_obs::{Layer, Obs, Stage, TraceEvent};
 use portals_types::{
-    Gather, MatchBits, MatchCriteria, NiLimits, ProcessId, PtlError, PtlResult, Readiness, Sharded,
+    MatchBits, MatchCriteria, NiLimits, ProcessId, PtlError, PtlResult, Readiness, Sharded,
 };
 use portals_wire::{
     AtomicDatatype, AtomicOp, AtomicRequest, GetRequest, PortalsMessage, PutRequest, RequestHeader,
@@ -85,12 +85,6 @@ pub struct NiConfig {
     /// fast path). Off, every translation runs the reference linear walk —
     /// kept as a runtime ablation so the win is measurable in one binary.
     pub match_index: bool,
-    /// Move payloads as refcounted region views end-to-end (gathered wire
-    /// encode, zero-copy receive slicing, scatter directly into the target
-    /// MD). Off, every hop copies the payload — the `Vec`-buffer baseline,
-    /// kept as a runtime ablation so the copy count is measurable in one
-    /// binary via [`NiCountersSnapshot::copies_per_message`].
-    pub region_buffers: bool,
     /// Per-portal flow control (extension: Portals 4 `PTL_PT_FLOWCTRL`
     /// lineage). When on, a portal with a registered flow event queue
     /// ([`NetworkInterface::pt_flow_ctrl`]) auto-disables on resource
@@ -108,7 +102,6 @@ impl Default for NiConfig {
             progress: ProgressModel::default(),
             job: 0,
             match_index: true,
-            region_buffers: true,
             flow_control: true,
         }
     }
@@ -1068,16 +1061,7 @@ pub(crate) fn do_put(
             if length as usize > max {
                 return Err(PtlError::LimitExceeded);
             }
-            let payload = if core.config.region_buffers {
-                mdr.payload_gather(0, length)
-            } else {
-                // Baseline: read the MD out into a fresh flat buffer.
-                if length > 0 {
-                    core.counters.payload_copies.inc();
-                }
-                Gather::from_vec(mdr.read(0, length))
-            };
-            Ok((payload, mdr.eq, length))
+            Ok((mdr.payload_gather(0, length), mdr.eq, length))
         })
         .ok_or(PtlError::InvalidMd)??;
 
@@ -1223,15 +1207,7 @@ pub(crate) fn do_atomic(
                 return Err(PtlError::InvalidArgument);
             }
             mdr.threshold = mdr.threshold.decrement();
-            let payload = if core.config.region_buffers {
-                mdr.payload_gather(0, operand_len)
-            } else {
-                if operand_len > 0 {
-                    core.counters.payload_copies.inc();
-                }
-                Gather::from_vec(mdr.read(0, operand_len))
-            };
-            Ok((payload, mdr.eq))
+            Ok((mdr.payload_gather(0, operand_len), mdr.eq))
         })
         .ok_or(PtlError::InvalidMd)
         .and_then(|r| r);
@@ -1321,10 +1297,8 @@ fn transmit(
     Ok(())
 }
 
-/// Put a Portals message on the wire under the interface's buffer model:
-/// region buffers gather the payload's views behind a fresh header segment
-/// (no payload bytes move); the baseline flattens the whole message into one
-/// contiguous allocation and counts the copy.
+/// Put a Portals message on the wire: the payload's region views are gathered
+/// behind a fresh header segment, so no payload bytes move.
 pub(crate) fn send_message(
     core: &NiCore,
     node: &NodeShared,
@@ -1338,14 +1312,7 @@ pub(crate) fn send_message(
             .bytes(msg.payload_len() as u64)
             .detail(msg.kind_name())
     });
-    if core.config.region_buffers {
-        node.endpoint.send(dst, msg.encode_gather());
-    } else {
-        if msg.payload_len() > 0 {
-            core.counters.payload_copies.inc();
-        }
-        node.endpoint.send(dst, msg.encode());
-    }
+    node.endpoint.send(dst, msg.encode_gather());
 }
 
 impl Drop for NetworkInterface {

@@ -393,14 +393,6 @@ pub(crate) fn dispatch(shared: &NodeShared, payload: &Gather) {
             node_drop_trace(shared, "no_process");
         }
         Some(core) => {
-            // Baseline buffer model: coalesce the payload into one fresh
-            // allocation before the engine sees it, as a copying receive
-            // path would, and count the copy.
-            let msg = if core.config.region_buffers {
-                msg
-            } else {
-                flatten_payload(&core, msg)
-            };
             match core.config.progress {
                 crate::ProgressModel::ApplicationBypass => engine::deliver(&core, shared, msg),
                 crate::ProgressModel::HostDriven => core.enqueue_raw(msg),
@@ -421,27 +413,4 @@ pub(crate) fn node_drop_trace(shared: &NodeShared, why: &'static str) {
             .node(shared.nid.0)
             .detail(why)
     });
-}
-
-/// Replace a message's payload views with one contiguous copy (the ablation
-/// baseline's receive-side coalesce), counting the copy it performs.
-fn flatten_payload(core: &NiCore, msg: PortalsMessage) -> PortalsMessage {
-    fn flatten(core: &NiCore, g: Gather) -> Gather {
-        if g.is_empty() {
-            return g;
-        }
-        core.counters.payload_copies.inc();
-        Gather::from_vec(g.to_vec())
-    }
-    match msg {
-        PortalsMessage::Put(mut m) => {
-            m.payload = flatten(core, m.payload);
-            PortalsMessage::Put(m)
-        }
-        PortalsMessage::Reply(mut m) => {
-            m.payload = flatten(core, m.payload);
-            PortalsMessage::Reply(m)
-        }
-        other => other,
-    }
 }

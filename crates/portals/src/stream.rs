@@ -1,20 +1,20 @@
 //! Incremental message delivery: the per-source stream state machine.
 //!
-//! With the transport in streaming mode, a multi-fragment message no longer
-//! arrives as one reassembled [`Gather`] — it arrives as a sequence of
-//! [`StreamFragment`]s carrying absolute payload offsets. This module is the
-//! glue between that fragment stream and the §4.8 receive engine: as soon as
-//! the fixed wire header is complete it runs the engine's header-time checks
-//! (validity, ACL, translation, commit) and obtains a *sink* — a captured
-//! mapping of the matched memory — into which every subsequent fragment is
-//! scattered at its offset the moment it leaves the wire. Events fire only at
-//! the final fragment, so completion semantics match the store-and-forward
-//! path exactly while data movement overlaps wire transfer.
+//! A multi-fragment message does not arrive as one reassembled [`Gather`]:
+//! the transport delivers it as a sequence of [`StreamFragment`]s carrying
+//! absolute payload offsets. This module is the glue between that fragment
+//! stream and the §4.8 receive engine: as soon as the fixed wire header is
+//! complete it runs the engine's header-time checks (validity, ACL,
+//! translation, commit) and obtains a *sink* — a captured mapping of the
+//! matched memory — into which every subsequent fragment is scattered at its
+//! offset the moment it leaves the wire. Events fire only at the final
+//! fragment, so completion semantics match whole-message delivery exactly
+//! while data movement overlaps wire transfer.
 //!
 //! Messages the engine cannot stream (combining descriptors, host-driven
-//! interfaces, the copying ablation baseline, acks/gets) fall back to
-//! accumulation: fragments are appended and the whole message takes the
-//! classic [`dispatch`](crate::node) path on completion.
+//! interfaces, acks/gets) fall back to accumulation: fragments are appended
+//! and the whole message takes the classic [`dispatch`](crate::node) path on
+//! completion.
 //!
 //! The transport delivers fragments of a source's messages in order and
 //! non-interleaved, so one state per source suffices.
@@ -171,14 +171,13 @@ fn lookup(shared: &NodeShared, target: portals_types::ProcessId) -> Option<Arc<N
 }
 
 /// Whether this interface's configuration admits fragment-at-a-time delivery.
-/// Host-driven interfaces hand raw messages to the application, and the
-/// copying ablation baseline coalesces payloads first — both need the whole
-/// message.
+/// Host-driven interfaces hand raw messages to the application, so they need
+/// the whole message.
 fn streamable(core: &NiCore) -> bool {
     matches!(
         core.config.progress,
         crate::ProgressModel::ApplicationBypass
-    ) && core.config.region_buffers
+    )
 }
 
 /// Hand a freshly opened sink the payload bytes that arrived in the same

@@ -24,12 +24,6 @@ pub struct TransportConfig {
     /// *stalled* in the stats (retransmission continues regardless; see the
     /// crate docs for why the transport never gives up).
     pub stall_retries: u32,
-    /// Maximum inbound datagrams the worker drains per wakeup. Within one
-    /// batch at most one cumulative ACK is sent per source (the later
-    /// cumulative subsumes the earlier). `1` disables both batching and
-    /// coalescing — the pre-batching per-packet-ack behaviour, kept as a
-    /// runtime ablation.
-    pub recv_batch: usize,
     /// End-to-end credit flow control (runtime ablation flag). When on, a
     /// sender admits a DATA packet only while its sequence lies below the
     /// peer's advertised credit horizon (piggybacked on every ACK), and a
@@ -46,21 +40,6 @@ pub struct TransportConfig {
     /// The default equals `credit_window`; `0` models a zero-credit start
     /// where the first PROBE/ACK exchange must run before any data flows.
     pub initial_credits: u64,
-    /// Extend each DATA packet's CRC over its body, not just the header.
-    /// Off by default: the in-process fabric hands over refcounted memory
-    /// that cannot rot in flight, and skipping the body keeps encode
-    /// zero-copy-lazy. Forced on by [`Endpoint::new`](crate::Endpoint) when
-    /// the link reports
-    /// [`body_checksum_required`](portals_net::Link::body_checksum_required)
-    /// (real sockets).
-    pub checksum_body: bool,
-    /// Streaming fragment delivery (runtime ablation flag). When on, the
-    /// worker hands each in-order fragment of a multi-fragment message to the
-    /// consumer immediately as a [`Delivery::Fragment`](crate::Delivery) with
-    /// its absolute payload offset, so placement overlaps wire transfer. When
-    /// off, fragments are reassembled into whole messages before delivery —
-    /// the pre-streaming store-and-forward baseline.
-    pub streaming: bool,
     /// Byte budget, per source, for buffering out-of-order fragments at the
     /// receiver. Packets above the in-order horizon are held up to this
     /// budget and spliced into the stream when the hole fills; beyond it they
@@ -86,6 +65,11 @@ impl TransportConfig {
     /// Myrinet-era frame sizes.
     pub const DEFAULT_MTU: usize = 8 * 1024;
 
+    /// Maximum inbound datagrams the worker drains per wakeup. Within one
+    /// batch at most one cumulative ACK is sent per source (the later
+    /// cumulative subsumes the earlier).
+    pub const RECV_BATCH: usize = 64;
+
     /// Effective retransmission timeout after `retries` consecutive timeouts.
     pub fn rto_after(&self, retries: u32) -> Duration {
         self.rto_base * 2u32.pow(retries.min(Self::MAX_BACKOFF_EXP))
@@ -99,12 +83,9 @@ impl Default for TransportConfig {
             window: 64,
             rto_base: Duration::from_millis(20),
             stall_retries: 10,
-            recv_batch: 64,
             flow_control: true,
             credit_window: 128,
             initial_credits: 128,
-            checksum_body: false,
-            streaming: true,
             ooo_buffer_bytes: 1024 * 1024,
             progress_mode: ProgressMode::NicThread,
         }

@@ -45,9 +45,8 @@ pub struct StreamFragment {
     pub payload: Gather,
 }
 
-/// What the transport hands upward: either a whole message (single-fragment
-/// sends, and everything when [`TransportConfig::streaming`] is off) or one
-/// streamed fragment of a larger message.
+/// What the transport hands upward: either a whole message (a single-fragment
+/// send) or one streamed fragment of a larger message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Delivery {
     /// A complete message.
@@ -171,16 +170,17 @@ impl Endpoint {
     /// `obs.registry` and emitting lifecycle trace events through
     /// `obs.tracer`.
     ///
-    /// The link gets the last word on three knobs: a wire that can corrupt
-    /// bytes in flight forces [`TransportConfig::checksum_body`] on, a
-    /// follow-the-link MTU (`mtu = 0`) resolves to the wire's
+    /// The link gets the last word on the wire format: a wire that can
+    /// corrupt bytes in flight
+    /// ([`body_checksum_required`](Link::body_checksum_required)) gets every
+    /// DATA packet's CRC extended over its body, a follow-the-link MTU
+    /// (`mtu = 0`) resolves to the wire's
     /// [`preferred_mtu`](Link::preferred_mtu) (or
     /// [`TransportConfig::DEFAULT_MTU`]), and a wire with a hard datagram
     /// bound clamps the fragment MTU so every DATA packet (header + body)
     /// fits in one datagram.
     pub fn with_obs(link: impl Link, mut cfg: TransportConfig, obs: Obs) -> Endpoint {
         let link: Box<dyn Link> = Box::new(link);
-        cfg.checksum_body |= link.body_checksum_required();
         if cfg.mtu == 0 {
             cfg.mtu = link.preferred_mtu().unwrap_or(TransportConfig::DEFAULT_MTU);
         }
@@ -562,7 +562,7 @@ mod tests {
     use super::*;
     use portals_net::{Fabric, FabricConfig, FaultPlan, LinkModel};
     use portals_types::Gather;
-    use portals_wire::Packet;
+    use portals_wire::{Packet, PacketHeader};
     use std::time::Duration;
 
     fn pair(fabric: &Fabric, cfg: TransportConfig) -> (Endpoint, Endpoint) {
@@ -906,7 +906,6 @@ mod tests {
         let cfg = TransportConfig {
             mtu: 64,
             window: 128,
-            recv_batch: 64,
             ..Default::default()
         };
         let sb = burst_then_start_receiver(cfg, 64);
@@ -914,20 +913,6 @@ mod tests {
         // covers it, the other 63 are subsumed.
         assert_eq!(sb.acks_sent, 1);
         assert_eq!(sb.acks_coalesced, 63);
-    }
-
-    #[test]
-    fn recv_batch_one_acks_every_packet() {
-        // The ablation config: per-packet acks, no coalescing.
-        let cfg = TransportConfig {
-            mtu: 64,
-            window: 128,
-            recv_batch: 1,
-            ..Default::default()
-        };
-        let sb = burst_then_start_receiver(cfg, 64);
-        assert_eq!(sb.acks_sent, 64);
-        assert_eq!(sb.acks_coalesced, 0);
     }
 
     #[test]
@@ -1131,11 +1116,27 @@ mod tests {
     }
 
     /// A [`Link`] wrapper that reports real-wire properties (a datagram
-    /// bound, possible corruption) over the in-process fabric — exercises the
-    /// knob-forcing in `with_obs` without a socket.
+    /// bound, possible corruption) over the in-process fabric — exercises how
+    /// `with_obs` and the core follow the link, without a socket. Records the
+    /// flags byte of every DATA packet it sends.
     struct BoundedLossyWire {
         nic: portals_net::Nic,
         max_datagram: usize,
+        data_flags: Arc<Mutex<Vec<u8>>>,
+    }
+
+    /// The flags byte of an encoded packet (it follows magic and version).
+    fn packet_flags(p: &Gather) -> u8 {
+        let mut prefix = [0u8; 3];
+        p.peek(&mut prefix);
+        prefix[2]
+    }
+
+    fn is_data(p: &Gather) -> bool {
+        matches!(
+            Packet::decode_gather(p).map(|p| p.header),
+            Ok(PacketHeader::Data { .. })
+        )
     }
 
     impl Link for BoundedLossyWire {
@@ -1150,6 +1151,9 @@ mod tests {
                 payload.len(),
                 self.max_datagram
             );
+            if is_data(&payload) {
+                self.data_flags.lock().push(packet_flags(&payload));
+            }
             Link::send(&self.nic, dst, payload)
         }
         fn inbound_receiver(&self) -> crossbeam::channel::Receiver<portals_net::Datagram> {
@@ -1173,10 +1177,12 @@ mod tests {
     fn link_bounds_clamp_mtu_and_force_body_crc() {
         let fabric = Fabric::ideal();
         let max = 256;
+        let sent_flags = Arc::new(Mutex::new(Vec::new()));
         let a = Endpoint::new(
             BoundedLossyWire {
                 nic: fabric.attach(NodeId(0)),
                 max_datagram: max,
+                data_flags: sent_flags.clone(),
             },
             TransportConfig::default(), // default mtu (8 KiB) must be clamped
         );
@@ -1184,6 +1190,7 @@ mod tests {
             BoundedLossyWire {
                 nic: fabric.attach(NodeId(1)),
                 max_datagram: max,
+                data_flags: Arc::default(),
             },
             TransportConfig::default(),
         );
@@ -1194,9 +1201,28 @@ mod tests {
         // The clamp forces fragmentation: body_max = max - DATA_HEADER_SIZE.
         let frags = 10_000usize.div_ceil(max - Packet::DATA_HEADER_SIZE) as u64;
         assert!(a.stats().data_packets_sent >= frags);
-        // Body CRC was forced on: every DATA packet decodes with coverage.
+        // The link requires body coverage: every DATA packet carries it and
+        // decodes clean.
+        assert!(a.flush(Duration::from_secs(10)));
+        let flags = sent_flags.lock().clone();
+        assert_eq!(flags.len() as u64, a.stats().data_packets_sent);
+        assert!(flags.iter().all(|f| f & Packet::FLAG_BODY_CRC != 0));
         assert_eq!(a.stats().checksum_rejects, 0);
         assert_eq!(b.stats().checksum_rejects, 0);
+
+        // A plain fabric link does not: no DATA packet sets the flag.
+        let plain = Endpoint::new(fabric.attach(NodeId(2)), TransportConfig::default());
+        let sniffer = fabric.attach(NodeId(3));
+        let sniffed = Link::inbound_receiver(&sniffer);
+        plain.send(NodeId(3), Gather::from_vec(vec![7u8; 200_000]));
+        let frags = 200_000usize.div_ceil(Link::preferred_mtu(&sniffer).unwrap());
+        for _ in 0..frags {
+            let d = sniffed
+                .recv_timeout(Duration::from_secs(5))
+                .expect("DATA packet");
+            assert!(is_data(&d.payload));
+            assert_eq!(packet_flags(&d.payload) & Packet::FLAG_BODY_CRC, 0);
+        }
     }
 
     #[test]

@@ -71,6 +71,8 @@ pub struct SenderPeer {
     /// its flow stats.
     credit_stalls: u64,
     credit_resumes: u64,
+    /// Extend each DATA packet's CRC over its body, not just the header.
+    body_crc: bool,
 }
 
 /// What a timeout produced.
@@ -111,7 +113,18 @@ impl SenderPeer {
             probe_retries: 0,
             credit_stalls: 0,
             credit_resumes: 0,
+            body_crc: false,
         }
+    }
+
+    /// Cover each DATA packet's body with its CRC, not just the header — what
+    /// a link that can corrupt bytes in flight requires
+    /// ([`body_checksum_required`](portals_net::Link::body_checksum_required)).
+    /// Off, the in-process fabric's refcounted handoff keeps encode
+    /// zero-copy-lazy.
+    pub fn with_body_checksum(mut self, on: bool) -> SenderPeer {
+        self.body_crc = on;
+        self
     }
 
     /// Fragment `msg` per the MTU, queue the fragments, and append to `out`
@@ -163,7 +176,7 @@ impl SenderPeer {
                 frag.frag_count,
                 frag.body,
             )
-            .encode_with(cfg.checksum_body);
+            .encode_with(self.body_crc);
             self.in_flight.push_back(InFlight {
                 seq,
                 encoded: encoded.clone(),
@@ -549,56 +562,6 @@ impl ReceiverPeer {
     }
 }
 
-/// Reassembles a stream of in-order [`FragSlice`]s into whole messages — the
-/// store-and-forward tail kept for consumers that want full messages
-/// (`Endpoint::recv`, the non-streaming baseline).
-#[derive(Debug, Default)]
-pub struct Assembler {
-    cur: Option<(u64, u32, Vec<Gather>)>,
-}
-
-impl Assembler {
-    /// Feed one in-order slice; returns the completed message when `slice`
-    /// was its final fragment. Fragments' gathers are concatenated, not
-    /// coalesced: the bytes stay in the datagrams the NIC delivered.
-    pub fn push(&mut self, slice: FragSlice) -> Option<Gather> {
-        if slice.frag_count == 1 && slice.frag_index == 0 {
-            // Already whole: no parts list to build. Like any new message it
-            // abandons a stale partial.
-            self.cur = None;
-            return Some(slice.body);
-        }
-        if slice.frag_index == 0 {
-            // A new message begins; any stale partial is abandoned (cannot
-            // happen with a correct sender, but defends against one that was
-            // restarted mid-message).
-            self.cur = Some((slice.msg_id, slice.frag_count, Vec::new()));
-        }
-        let (msg_id, frag_count, parts) = self.cur.as_mut()?;
-        if *msg_id != slice.msg_id || slice.frag_index as usize != parts.len() {
-            // Fragment from a different message or a hole: abandon.
-            self.cur = None;
-            return None;
-        }
-        parts.push(slice.body);
-        if parts.len() == *frag_count as usize {
-            let (_, _, parts) = self.cur.take().expect("just checked");
-            Some(assemble(parts))
-        } else {
-            None
-        }
-    }
-}
-
-/// Concatenate the fragments' gathers — O(total segments), zero payload copies.
-fn assemble(parts: Vec<Gather>) -> Gather {
-    let mut out = Gather::new();
-    for p in parts {
-        out.append(p);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,7 +575,6 @@ mod tests {
             window: 3,
             rto_base: Duration::from_millis(10),
             stall_retries: 2,
-            recv_batch: 64,
             ..Default::default()
         }
     }
@@ -858,9 +820,26 @@ mod tests {
         }
     }
 
-    /// Fold a result's slices through an assembler, returning any completed
+    /// Test-side reassembly of in-order slices. Each slice must land at the
+    /// absolute offset where the bytes before it end.
+    #[derive(Default)]
+    struct Asm(Vec<u8>);
+
+    impl Asm {
+        /// Append one slice; returns the whole message on its final fragment.
+        fn push(&mut self, s: FragSlice) -> Option<Vec<u8>> {
+            if s.frag_index == 0 {
+                self.0.clear();
+            }
+            assert_eq!(s.offset as usize, self.0.len(), "slice off its offset");
+            self.0.extend_from_slice(&s.body.to_vec());
+            s.last().then(|| std::mem::take(&mut self.0))
+        }
+    }
+
+    /// Fold a result's slices through an accumulator, returning any completed
     /// message.
-    fn fold(asm: &mut Assembler, r: Rx) -> Option<Gather> {
+    fn fold(asm: &mut Asm, r: Rx) -> Option<Vec<u8>> {
         let mut out = None;
         for s in r.slices {
             if let Some(m) = asm.push(s) {
@@ -885,7 +864,7 @@ mod tests {
     #[test]
     fn receiver_streams_fragments_with_offsets() {
         let mut rx = ReceiverPeer::new();
-        let mut asm = Assembler::default();
+        let mut asm = Asm::default();
         let r0 = data(&mut rx, dh(0, 0, 0, 0, 2), g(b"hel"));
         assert_eq!(r0.slices.len(), 1);
         assert_eq!(r0.slices[0].offset, 0);
@@ -896,10 +875,7 @@ mod tests {
         assert_eq!(r1.slices[0].offset, 3);
         assert!(r1.slices[0].last());
         assert_eq!(r1.ack, 1);
-        assert_eq!(
-            fold(&mut asm, r1).map(|d| d.to_vec()),
-            Some(b"hello".to_vec())
-        );
+        assert_eq!(fold(&mut asm, r1), Some(b"hello".to_vec()));
     }
 
     #[test]
@@ -929,11 +905,8 @@ mod tests {
         assert_eq!(r0.ack, 1, "cumulative ack covers the spliced packet");
         assert_eq!(rx.buffered_bytes(), 0);
         assert_eq!(rx.buffered_hwm(), 2, "high-water mark persists");
-        let mut asm = Assembler::default();
-        assert_eq!(
-            fold(&mut asm, r0).map(|d| d.to_vec()),
-            Some(b"hello".to_vec())
-        );
+        let mut asm = Asm::default();
+        assert_eq!(fold(&mut asm, r0), Some(b"hello".to_vec()));
     }
 
     #[test]
@@ -989,7 +962,7 @@ mod tests {
         let t = now();
         let mut tx = SenderPeer::new();
         let mut rx = ReceiverPeer::new();
-        let mut asm = Assembler::default();
+        let mut asm = Asm::default();
         let pkts = enqueue(&mut tx, g(b"0123456789"), &c, t);
         let pkts = decode(&pkts);
 
@@ -1016,7 +989,7 @@ mod tests {
             }
             ack(&mut tx, cumulative, &c, t);
         }
-        assert_eq!(delivered.map(|d| d.to_vec()), Some(b"0123456789".to_vec()));
+        assert_eq!(delivered, Some(b"0123456789".to_vec()));
         assert_eq!(tx.outstanding(), 0);
         assert_eq!(rx.buffered_bytes(), 0);
     }
@@ -1134,13 +1107,12 @@ mod tests {
                 window: 4,
                 rto_base: Duration::from_millis(1),
                 stall_retries: 100,
-                recv_batch: 64,
                 ..Default::default()
             };
             let t = Instant::now();
             let mut tx = SenderPeer::new();
             let mut rx = ReceiverPeer::new();
-            let mut asm = Assembler::default();
+            let mut asm = Asm::default();
             let mut wire: VecDeque<Gather> = VecDeque::new();
             let mut received: Vec<Vec<u8>> = Vec::new();
             for m in &messages {
@@ -1174,7 +1146,7 @@ mod tests {
                             s.frag_index as usize * c.mtu
                         );
                         if let Some(d) = asm.push(s) {
-                            received.push(d.to_vec());
+                            received.push(d);
                         }
                     }
                     wire.extend(ack(&mut tx, r.ack, &c, t).released);

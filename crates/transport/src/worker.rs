@@ -13,7 +13,7 @@
 //! Two receive-path optimisations live here:
 //!
 //! * **Batched drain.** One select wakeup drains up to
-//!   [`TransportConfig::recv_batch`] inbound datagrams before touching the
+//!   [`TransportConfig::RECV_BATCH`] inbound datagrams before touching the
 //!   channel's blocking path again, amortising the wakeup over the burst.
 //! * **Coalesced acks.** Within one batch the worker sends at most one
 //!   cumulative ACK per source. Cumulative acknowledgments are monotone per
@@ -37,7 +37,7 @@
 
 use crate::config::TransportConfig;
 use crate::endpoint::{Delivery, IncomingMessage, StreamFragment};
-use crate::peer::{Assembler, FragSlice, ReceiverPeer, SenderPeer};
+use crate::peer::{FragSlice, ReceiverPeer, SenderPeer};
 use crate::stats::{FlowStats, TransportStats};
 use crossbeam::channel::{Receiver, Sender};
 use portals_net::{Datagram, Link};
@@ -86,6 +86,10 @@ pub(crate) struct ProgressCore {
     link: Box<dyn Link>,
     nid: NodeId,
     cfg: TransportConfig,
+    /// Whether DATA packets' CRCs cover their bodies: read once from the
+    /// link ([`Link::body_checksum_required`]) and handed to every sender
+    /// peer.
+    body_crc: bool,
     obs: Obs,
     /// This NIC's inbound datagram queue (drained by `progress_once` /
     /// `on_inbound`; the worker thread selects on a clone of it).
@@ -104,10 +108,6 @@ pub(crate) struct ProgressCore {
     outstanding: Arc<AtomicUsize>,
     tx_peers: HashMap<NodeId, SenderPeer>,
     rx_peers: HashMap<NodeId, ReceiverPeer>,
-    /// Per-source store-and-forward tails for deliveries that go up as whole
-    /// messages (single-fragment messages, and everything when `streaming` is
-    /// off).
-    assemblers: HashMap<NodeId, Assembler>,
     /// Streamed fragments accepted in the current receive batch, coalesced
     /// while contiguous (same source, same message, continuing offset) and
     /// flushed as one delivery — placement still overlaps the wire at batch
@@ -176,10 +176,12 @@ impl ProgressCore {
         let nid = link.nid();
         let inbound = link.inbound_receiver();
         let readiness = link.readiness();
+        let body_crc = link.body_checksum_required();
         ProgressCore {
             link,
             nid,
             cfg,
+            body_crc,
             obs,
             inbound,
             readiness,
@@ -190,7 +192,6 @@ impl ProgressCore {
             outstanding,
             tx_peers: HashMap::new(),
             rx_peers: HashMap::new(),
-            assemblers: HashMap::new(),
             pending_frag: None,
             peer_retx: HashMap::new(),
             timers: BinaryHeap::new(),
@@ -241,12 +242,13 @@ impl ProgressCore {
 
     /// A fresh sender peer: credit-gated from the configured initial horizon
     /// when flow control is on, unlimited when off.
-    fn new_tx_peer(cfg: &TransportConfig) -> SenderPeer {
-        if cfg.flow_control {
+    fn new_tx_peer(cfg: &TransportConfig, body_crc: bool) -> SenderPeer {
+        let peer = if cfg.flow_control {
             SenderPeer::with_initial_credit(cfg.initial_credits)
         } else {
             SenderPeer::new()
-        }
+        };
+        peer.with_body_checksum(body_crc)
     }
 
     /// Fold a peer's credit-block transitions into the flow stats.
@@ -325,7 +327,7 @@ impl ProgressCore {
         let peer = self
             .tx_peers
             .entry(dst)
-            .or_insert_with(|| Self::new_tx_peer(&self.cfg));
+            .or_insert_with(|| Self::new_tx_peer(&self.cfg, self.body_crc));
         let msg_id = peer.next_msg_id();
         let msg_len = msg.len() as u64;
         self.obs.tracer.emit(|| {
@@ -374,13 +376,12 @@ impl ProgressCore {
         send_all(&*self.link, packets.drain(..).map(|p| (dst, p)));
     }
 
-    /// Drain up to `recv_batch` datagrams for one wakeup, then flush one
-    /// cumulative ACK per source seen in the batch. `recv_batch = 1` degrades
-    /// to the per-packet-ack behaviour exactly.
+    /// Drain up to [`TransportConfig::RECV_BATCH`] datagrams for one wakeup,
+    /// then flush one cumulative ACK per source seen in the batch.
     pub(crate) fn on_inbound(&mut self, first: Datagram) {
         let mut pending_acks = std::mem::take(&mut self.pending_acks);
         self.process_datagram(first, &mut pending_acks);
-        for _ in 1..self.cfg.recv_batch.max(1) {
+        for _ in 1..TransportConfig::RECV_BATCH {
             match self.inbound.try_recv() {
                 Ok(d) => self.process_datagram(d, &mut pending_acks),
                 Err(_) => break,
@@ -561,7 +562,7 @@ impl ProgressCore {
                 }
                 let mut delivered_any = false;
                 for slice in slices.drain(..) {
-                    if self.cfg.streaming && slice.frag_count > 1 {
+                    if slice.frag_count > 1 {
                         // Stream the fragment upward with its placement
                         // offset; the consumer scatters it immediately
                         // instead of waiting for reassembly. Contiguous
@@ -606,22 +607,23 @@ impl ProgressCore {
                             self.flush_pending_frag();
                             delivered_any = true;
                         }
-                    } else if let Some(msg) = self.assemblers.entry(src).or_default().push(slice) {
-                        // Order with any streamed fragments already queued
-                        // for this batch.
+                    } else {
+                        // A single-fragment slice is already the whole
+                        // message. Order it after any streamed fragments
+                        // already queued for this batch.
                         self.flush_pending_frag();
                         self.stats.add(&self.stats.messages_delivered, 1);
-                        let msg_len = msg.len() as u64;
                         self.obs.tracer.emit(|| {
                             TraceEvent::new(Layer::Transport, Stage::Deliver)
                                 .node(self.nid.0)
                                 .peer(src.0)
-                                .msg_id(msg_id)
-                                .bytes(msg_len)
+                                .msg_id(slice.msg_id)
+                                .bytes(slice.body.len() as u64)
                         });
-                        let _ = self
-                            .delivered
-                            .send(Delivery::Message(IncomingMessage { src, payload: msg }));
+                        let _ = self.delivered.send(Delivery::Message(IncomingMessage {
+                            src,
+                            payload: slice.body,
+                        }));
                         delivered_any = true;
                     }
                 }

@@ -1,12 +1,10 @@
-//! Differential tests for the streaming large-message data path.
+//! Tests for the streaming large-message data path.
 //!
 //! The streaming receive path (incremental fragment delivery with absolute
-//! payload offsets) is a pure latency/bandwidth optimisation: it must never
-//! change *what* arrives, only *when* placement happens. Every test here runs
-//! the same traffic through both arms — streaming on vs. the store-and-forward
-//! baseline — and demands byte-identical results, under fault-free wires,
-//! seeded loss/duplication/jitter on the in-process fabric, seeded loss on a
-//! real loopback UDP socket, and both progress modes.
+//! payload offsets) must never change *what* arrives, only *when* placement
+//! happens. Every test here demands exactly the sent bytes, in order, under
+//! fault-free wires, seeded loss/duplication/jitter on the in-process fabric,
+//! seeded loss on a real loopback UDP socket, and both progress modes.
 
 use portals::{AckRequest, EventKind, MdSpec, MePos, NetworkInterface, NiConfig, Node, NodeConfig};
 use portals_net::{Fabric, FabricConfig, FaultPlan, LinkModel};
@@ -37,18 +35,23 @@ fn faulty_fabric(seed: u64, loss_pct: u32, jitter_us: u64) -> Fabric {
     )
 }
 
-/// Deterministic per-message payloads, all multi-fragment at the test MTU.
-fn payloads(n_msgs: usize, msg_len: usize) -> Vec<Vec<u8>> {
-    (0..n_msgs)
-        .map(|i| (0..msg_len).map(|j| (i * 131 + j * 7) as u8).collect())
+/// Deterministic per-message payloads of the given lengths.
+fn payloads_of(lens: &[usize]) -> Vec<Vec<u8>> {
+    lens.iter()
+        .enumerate()
+        .map(|(i, &len)| (0..len).map(|j| (i * 131 + j * 7) as u8).collect())
         .collect()
 }
 
-/// One transport-level arm: send every payload a → b, receive through the
-/// endpoint's message API (which folds streamed fragments back into whole
-/// messages when streaming is on), return what arrived plus receiver stats.
-fn run_transport_arm(
-    streaming: bool,
+/// `n_msgs` payloads of `msg_len` bytes each.
+fn payloads(n_msgs: usize, msg_len: usize) -> Vec<Vec<u8>> {
+    payloads_of(&vec![msg_len; n_msgs])
+}
+
+/// Send every payload a → b, receive through the endpoint's message API
+/// (which folds streamed fragments back into whole messages), return what
+/// arrived plus receiver stats.
+fn run_transport(
     mode: ProgressMode,
     fabric: &Fabric,
     msgs: &[Vec<u8>],
@@ -57,7 +60,6 @@ fn run_transport_arm(
         mtu: 256,
         window: 8,
         rto_base: Duration::from_millis(2),
-        streaming,
         ooo_buffer_bytes: 4096,
         progress_mode: mode,
         ..Default::default()
@@ -78,10 +80,11 @@ fn run_transport_arm(
     (out, b.stats())
 }
 
-// The core differential property: under seeded loss, duplication and jitter,
-// the streaming receive path delivers exactly the bytes the store-and-forward
-// baseline delivers, in the same order, in both progress modes — and its
-// out-of-order buffer never exceeds its configured budget.
+// The core property: under seeded loss, duplication and jitter, the receive
+// path delivers exactly the sent bytes, in order, in both progress modes — and
+// its out-of-order buffer never exceeds its configured budget. Sub-MTU
+// messages (handed up whole) interleave with multi-fragment ones (streamed),
+// so both kinds of delivery share receive batches.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..Default::default() })]
     #[test]
@@ -89,18 +92,22 @@ proptest! {
         seed in 0u64..1000,
         loss_pct in 5u32..25,
         jitter_us in 20u64..300,
-        msg_len in 1000usize..4000,
-        n_msgs in 3usize..6,
+        pairs in proptest::collection::vec((0usize..256, 1000usize..4000, any::<bool>()), 2..4),
     ) {
-        let msgs = payloads(n_msgs, msg_len);
+        // Each pair is one sub-MTU and one multi-fragment message, in either
+        // order.
+        let lens: Vec<usize> = pairs
+            .iter()
+            .flat_map(|&(small, big, small_first)| {
+                if small_first { [small, big] } else { [big, small] }
+            })
+            .collect();
+        let msgs = payloads_of(&lens);
         for mode in [ProgressMode::NicThread, ProgressMode::CallerDriven] {
-            let (base, _) =
-                run_transport_arm(false, mode, &faulty_fabric(seed, loss_pct, jitter_us), &msgs);
-            let (stream, stats) =
-                run_transport_arm(true, mode, &faulty_fabric(seed, loss_pct, jitter_us), &msgs);
-            prop_assert_eq!(&base, &msgs, "baseline arm corrupted traffic");
-            prop_assert_eq!(&stream, &msgs, "streaming arm corrupted traffic");
-            prop_assert_eq!(&stream, &base);
+            let (got, stats) =
+                run_transport(mode, &faulty_fabric(seed, loss_pct, jitter_us), &msgs);
+            prop_assert_eq!(&got, &msgs, "corrupted or misordered traffic");
+            prop_assert_eq!(stats.messages_delivered, msgs.len() as u64);
             // Multi-fragment messages really did take the streamed path.
             prop_assert!(stats.frags_streamed > 0, "no fragment was streamed");
             // The OOO high-water mark respects the configured budget, and is
@@ -125,7 +132,6 @@ fn raw_fragment_stream_places_at_absolute_offsets() {
         mtu: 256,
         window: 8,
         rto_base: Duration::from_millis(2),
-        streaming: true,
         ooo_buffer_bytes: 4096,
         ..Default::default()
     };
@@ -144,7 +150,7 @@ fn raw_fragment_stream_places_at_absolute_offsets() {
         match d {
             Delivery::Message(m) => done.push(m.payload.to_vec()),
             Delivery::Fragment(f) => {
-                // In-order streaming: each fragment's absolute offset lands
+                // Streamed in order, each fragment's absolute offset lands
                 // exactly at the bytes placed so far.
                 assert_eq!(
                     f.offset as usize,
@@ -165,13 +171,13 @@ fn raw_fragment_stream_places_at_absolute_offsets() {
     assert_eq!(done, msgs);
 }
 
-/// One Portals-level arm of the truncation differential: a 100 000-byte put
-/// into a 10 000-byte target region, returning the target-side verdict, the
-/// initiator's ack verdict, and the bytes actually placed.
-fn run_truncation_arm(streaming: bool) -> ((u64, u64), (u64, u64), Vec<u8>) {
+// §4.8 verdicts hold on the streamed path: a 100 000-byte put truncated by a
+// 10 000-byte target region reports (rlength, mlength) = (100 000, 10 000) at
+// both ends, and places exactly the prefix.
+#[test]
+fn truncation_verdicts_match_across_streaming() {
     let node_cfg = || NodeConfig {
         transport: TransportConfig {
-            streaming,
             mtu: 4096,
             ..Default::default()
         },
@@ -208,81 +214,52 @@ fn run_truncation_arm(streaming: bool) -> ((u64, u64), (u64, u64), Vec<u8>) {
     assert_eq!(sent.kind, EventKind::Sent);
     let ack = a.eq_poll(aeq, TIMEOUT).unwrap();
     assert_eq!(ack.kind, EventKind::Ack);
-    (
+    assert_eq!(
         (ev.rlength, ev.mlength),
-        (ack.rlength, ack.mlength),
-        target.read_vec(0, 10_000),
-    )
-}
-
-// §4.8 verdicts must not depend on the delivery strategy: a multi-fragment
-// put truncated by a short target region reports the same (rlength, mlength)
-// at both ends, and places the same prefix, whether fragments were scattered
-// incrementally or reassembled first.
-#[test]
-fn truncation_verdicts_match_across_streaming() {
-    let (b_ev, b_ack, b_bytes) = run_truncation_arm(false);
-    let (s_ev, s_ack, s_bytes) = run_truncation_arm(true);
-    assert_eq!(b_ev, (100_000, 10_000));
-    assert_eq!(s_ev, b_ev, "target verdict changed under streaming");
-    assert_eq!(s_ack, b_ack, "ack verdict changed under streaming");
-    assert_eq!(s_bytes, b_bytes, "placed bytes changed under streaming");
+        (100_000, 10_000),
+        "target verdict"
+    );
+    assert_eq!((ack.rlength, ack.mlength), (100_000, 10_000), "ack verdict");
     let expect: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
-    assert_eq!(s_bytes, expect);
+    assert_eq!(target.read_vec(0, 10_000), expect, "placed prefix");
 }
 
-// The acceptance differential over a real wire: seeded 10% send-side loss on
-// loopback UDP (both directions — data and acks), bulk messages spanning ~70
-// real datagrams each. Streaming and baseline arms must both recover every
-// byte, identically.
+// Over a real wire: seeded 10% send-side loss on loopback UDP (both
+// directions — data and acks), bulk messages spanning ~70 real datagrams
+// each. Every byte must be recovered.
 #[test]
 fn udp_loopback_seeded_loss_byte_identical() {
-    let run = |streaming: bool| -> (Vec<Vec<u8>>, TransportStatsSnapshot) {
-        let bind = |nid: NodeId, seed: u64| {
-            UdpLink::bind(UdpLinkConfig {
-                nid,
-                loss: 0.10,
-                seed,
-                ..Default::default()
-            })
-            .expect("bind loopback UDP")
-        };
-        let la = bind(NodeId(0), 11);
-        let lb = bind(NodeId(1), 22);
-        la.set_peer(NodeId(1), lb.local_addr());
-        lb.set_peer(NodeId(0), la.local_addr());
-        let tcfg = TransportConfig {
-            streaming,
-            rto_base: Duration::from_millis(5),
+    let bind = |nid: NodeId, seed: u64| {
+        UdpLink::bind(UdpLinkConfig {
+            nid,
+            loss: 0.10,
+            seed,
             ..Default::default()
-        };
-        let a = Endpoint::new(la, tcfg);
-        let b = Endpoint::new(lb, tcfg);
-        let msgs = payloads(4, 96 * 1024);
-        for p in &msgs {
-            a.send(NodeId(1), Gather::from_vec(p.clone()));
-        }
-        let mut out = Vec::new();
-        for _ in &msgs {
-            out.push(
-                b.recv_timeout(TIMEOUT)
-                    .expect("message lost over lossy UDP")
-                    .payload
-                    .to_vec(),
-            );
-        }
-        (out, b.stats())
+        })
+        .expect("bind loopback UDP")
     };
-    let expect = payloads(4, 96 * 1024);
-    let (base, _) = run(false);
-    let (stream, stats) = run(true);
-    assert_eq!(base, expect, "baseline arm corrupted traffic over UDP");
-    assert_eq!(
-        stream, base,
-        "streaming arm diverged from baseline over UDP"
-    );
+    let la = bind(NodeId(0), 11);
+    let lb = bind(NodeId(1), 22);
+    la.set_peer(NodeId(1), lb.local_addr());
+    lb.set_peer(NodeId(0), la.local_addr());
+    let tcfg = TransportConfig {
+        rto_base: Duration::from_millis(5),
+        ..Default::default()
+    };
+    let a = Endpoint::new(la, tcfg);
+    let b = Endpoint::new(lb, tcfg);
+    let msgs = payloads(4, 96 * 1024);
+    for p in &msgs {
+        a.send(NodeId(1), Gather::from_vec(p.clone()));
+    }
+    for expect in &msgs {
+        let m = b
+            .recv_timeout(TIMEOUT)
+            .expect("message lost over lossy UDP");
+        assert_eq!(&m.payload.to_vec(), expect, "corrupted traffic over UDP");
+    }
     assert!(
-        stats.frags_streamed > 0,
+        b.stats().frags_streamed > 0,
         "UDP arm never streamed a fragment"
     );
 }
